@@ -35,9 +35,13 @@ def cmd_matrix(args) -> int:
 
 def cmd_selfsim(args) -> int:
     coeffs = _coefficients(args)
+    corrupt = args.corrupt
+    if corrupt is not None and not all(0 <= v < args.size for v in corrupt):
+        raise ValueError(f"--corrupt cell {tuple(corrupt)} is outside the "
+                         f"{args.size}x{args.size} window")
     m = matrix.delannoy_matrix(coeffs, args.size, args.size)
-    if args.corrupt is not None:
-        x, y = args.corrupt
+    if corrupt is not None:
+        x, y = corrupt
         ent = np.array(m.entries)
         ent[x, y] = (ent[x, y] + 1) % coeffs.p
         m = matrix.ResidueMatrix(coeffs.p, ent)
@@ -74,9 +78,9 @@ def cmd_simulate(args) -> int:
     assembly = tam.assemble_bounded(system, bound, args.seed, lax=args.lax)
     _write_text(args.out, formats.write_assembly(assembly, bound))
     if args.image is not None:
-        _, placements = formats.parse_assembly(
-            formats.write_assembly(assembly, bound))
-        grid = formats.assembly_value_grid(placements, bound)
+        grid = formats.assembly_value_grid(
+            {pos: (t.id, t.label) for pos, t in assembly.placements.items()},
+            bound)
         spec = _render_spec(args, values=grid[grid >= 0])
         Path(args.image).write_bytes(formats.render_cells(grid, spec))
     if len(assembly) < bound[0] * bound[1]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .tam import Assembly, Direction, Position, assemble_bounded
+from .tam import (Assembly, Direction, Position, assemble_bounded,
+                  first_divergence)
 from .tilegen import (LocalRule, build_full_system, build_tile,
                       prune_reachable, rule_matrix, symbol_token, window_at)
 
@@ -112,25 +113,12 @@ def verify_self_assembly(rule: LocalRule, bound: tuple[int, int],
         if mismatch is not None:
             break
 
-    directed = True
-    witness = None
-    reference = assemblies[0].id_map()
-    for assembly in assemblies[1:]:
-        current = assembly.id_map()
-        if current == reference:
-            continue
-        directed = False
-        for pos in sorted(set(reference) | set(current)):
-            a, b = reference.get(pos), current.get(pos)
-            if a != b:
-                witness = (pos, a, b)
-                break
-        break
-
+    witness = first_divergence(assemblies)
     return ConformanceReport(
         system_id=rule.name or f"rule-n{rule.n}-{len(rule.alphabet)}symbols",
         bound=bound, matches=mismatch is None, mismatch=mismatch,
-        trials=trials, directed=directed, directedness_witness=witness)
+        trials=trials, directed=witness is None,
+        directedness_witness=witness)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,15 @@ edges merely contribute nothing, is available behind a flag.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 Position = tuple[int, int]
+Glue = tuple[str, int]
+# The glues facing a cell from its W, S, E and N neighbors (None: empty).
+Profile = tuple[Glue | None, Glue | None, Glue | None, Glue | None]
 
 
 class Direction(Enum):
@@ -44,6 +48,7 @@ _OPPOSITE = {
 # Storage order for the per-edge tuples on TileType.
 EDGE_ORDER = (Direction.W, Direction.S, Direction.E, Direction.N)
 _EDGE_INDEX = {d: i for i, d in enumerate(EDGE_ORDER)}
+_DELTAS = tuple(d.delta for d in Direction)
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,12 @@ class TileType:
             raise ValueError("tiles carry exactly four edges")
         if any(s not in (0, 1, 2) for s in self.strengths):
             raise ValueError("edge strengths must be 0, 1, or 2")
+
+    @cached_property
+    def edges(self) -> tuple[Glue, Glue, Glue, Glue]:
+        """One (color, strength) glue per edge, in EDGE_ORDER; built on
+        first use, since most tiles of a full construction never attach."""
+        return tuple(zip(self.colors, self.strengths))
 
     def color(self, d: Direction) -> str:
         return self.colors[_EDGE_INDEX[d]]
@@ -104,12 +115,6 @@ class TileSystem:
             if by_id.get(tile.id) is not tile:
                 raise ValueError(f"seed tile at {pos} is not in the tile set")
 
-    def tile_by_id(self, tile_id: int) -> TileType:
-        for t in self.tiles:
-            if t.id == tile_id:
-                return t
-        raise KeyError(tile_id)
-
 
 @dataclass
 class Assembly:
@@ -146,6 +151,56 @@ def bond_strength(t1: TileType, d: Direction, t2: TileType) -> int:
     return 0
 
 
+def _profile(placements: dict[Position, TileType], pos: Position) -> Profile:
+    """The glue each neighbor of `pos` presents to it, per side in
+    EDGE_ORDER (W, S, E, N); None where that neighbor cell is empty."""
+    x, y = pos
+    w = placements.get((x, y - 1))
+    s = placements.get((x - 1, y))
+    e = placements.get((x, y + 1))
+    n = placements.get((x + 1, y))
+    return (None if w is None else w.edges[2], None if s is None else s.edges[3],
+            None if e is None else e.edges[0], None if n is None else n.edges[1])
+
+
+def _accepts(edges: tuple[Glue, ...], profile: Profile, temperature: int,
+             lax: bool) -> bool:
+    """The attachment rule for one tile against a neighbor profile.
+
+    An edge facing a neighbor bonds when its glue (color and strength)
+    equals the glue presented; bonded strengths must reach the
+    temperature.  Strict semantics reject any facing edge that does not
+    bond; lax semantics let it contribute nothing.
+    """
+    total = 0
+    for mine, theirs in zip(edges, profile):
+        if theirs is None:
+            continue
+        if mine == theirs:
+            total += mine[1]
+        elif not lax:
+            return False
+    return total >= temperature
+
+
+class _Candidates(dict):
+    """Memo of profile -> attachable tiles (sorted by id) for one system
+    under one semantics.  The candidates at a position depend only on its
+    neighbor profile, so each distinct profile is scanned once."""
+
+    def __init__(self, system: TileSystem, lax: bool):
+        super().__init__()
+        self.tiles = tuple(sorted(system.tiles, key=lambda t: t.id))
+        self.temperature = system.temperature
+        self.lax = lax
+
+    def __missing__(self, profile: Profile) -> tuple[TileType, ...]:
+        found = tuple(t for t in self.tiles
+                      if _accepts(t.edges, profile, self.temperature, self.lax))
+        self[profile] = found
+        return found
+
+
 def can_attach(assembly: Assembly, pos: Position, tile: TileType,
                temperature: int, lax: bool = False) -> bool:
     """Whether `tile` may extend `assembly` at the unoccupied `pos`.
@@ -157,100 +212,35 @@ def can_attach(assembly: Assembly, pos: Position, tile: TileType,
     """
     if pos in assembly.placements:
         raise ValueError(f"position {pos} is already occupied")
-    x, y = pos
-    total = 0
-    for d in Direction:
-        dx, dy = d.delta
-        neighbor = assembly.placements.get((x + dx, y + dy))
-        if neighbor is None:
-            continue
-        matched = (tile.color(d) == neighbor.color(d.opposite)
-                   and tile.strength(d) == neighbor.strength(d.opposite))
-        if matched:
-            total += tile.strength(d)
-        elif not lax:
-            return False
-    return total >= temperature
+    return _accepts(tile.edges, _profile(assembly.placements, pos),
+                    temperature, lax)
 
 
 def frontier(assembly: Assembly, system: TileSystem,
              bound: tuple[int, int] | None = None,
              lax: bool = False) -> set[tuple[Position, TileType]]:
     """All (position, tile) pairs currently attachable to the assembly."""
+    candidates = _Candidates(system, lax)
+    placements = assembly.placements
     out: set[tuple[Position, TileType]] = set()
-    seen: set[Position] = set()
-    for (x, y) in assembly.placements:
-        for d in Direction:
-            dx, dy = d.delta
+    for (x, y) in placements:
+        for dx, dy in _DELTAS:
             q = (x + dx, y + dy)
-            if q in assembly.placements or q in seen:
-                continue
-            seen.add(q)
-            if bound is not None and not (
+            if q in placements or bound is not None and not (
                     0 <= q[0] < bound[0] and 0 <= q[1] < bound[1]):
                 continue
-            for t in system.tiles:
-                if can_attach(assembly, q, t, system.temperature, lax=lax):
-                    out.add((q, t))
+            out.update((q, t) for t in candidates[_profile(placements, q)])
     return out
-
-
-class _StrictAttachIndex:
-    """Edge-profile index for fast strict-semantics attachment queries.
-
-    Under strict matching a candidate tile's edge facing an occupied
-    neighbor must equal that neighbor's abutting (color, strength) pair
-    exactly, so the attachable set at a position is an intersection of
-    per-edge buckets, and the bonded strength is determined by the
-    neighbors alone.
-    """
-
-    def __init__(self, system: TileSystem):
-        self.temperature = system.temperature
-        self.buckets: dict[Direction, dict[tuple[str, int], frozenset[TileType]]] = {}
-        for d in Direction:
-            bucket: dict[tuple[str, int], set[TileType]] = defaultdict(set)
-            for t in system.tiles:
-                bucket[(t.color(d), t.strength(d))].add(t)
-            self.buckets[d] = {k: frozenset(v) for k, v in bucket.items()}
-
-    def attachable(self, placements: dict[Position, TileType],
-                   pos: Position) -> tuple[TileType, ...]:
-        x, y = pos
-        profile = []
-        total = 0
-        for d in Direction:
-            dx, dy = d.delta
-            nb = placements.get((x + dx, y + dy))
-            if nb is None:
-                continue
-            opp = d.opposite
-            color, strength = nb.color(opp), nb.strength(opp)
-            profile.append((d, color, strength))
-            total += strength
-        if total < self.temperature or not profile:
-            return ()
-        sets = []
-        for d, color, strength in profile:
-            bucket = self.buckets[d].get((color, strength))
-            if bucket is None:
-                return ()
-            sets.append(bucket)
-        candidates = sets[0]
-        for s in sets[1:]:
-            candidates = candidates & s
-            if not candidates:
-                return ()
-        return tuple(sorted(candidates, key=lambda t: t.id))
 
 
 def assemble_bounded(system: TileSystem, bound: tuple[int, int],
                      order_seed: int, lax: bool = False) -> Assembly:
     """Grow the seed until the in-bounds frontier empties.
 
-    Each step draws uniformly from the current frontier pairs using a
-    generator seeded by `order_seed`, so runs are bit-reproducible.  The
-    bound is the half-open region [0, height) x [0, width).
+    Each step draws uniformly over the current frontier pairs (position,
+    attachable tile) using a generator seeded by `order_seed`, so runs are
+    bit-reproducible.  The bound is the half-open region
+    [0, height) x [0, width).
     """
     height, width = bound
     if height < 1 or width < 1:
@@ -258,49 +248,48 @@ def assemble_bounded(system: TileSystem, bound: tuple[int, int],
     for (x, y) in system.seed:
         if not (0 <= x < height and 0 <= y < width):
             raise ValueError("bound must contain the seed")
-    rng = random.Random(order_seed)
+    randrange = random.Random(order_seed).randrange
     assembly = Assembly.from_seed(system.seed)
     placements = assembly.placements
-    index = None if lax else _StrictAttachIndex(system)
+    candidates = _Candidates(system, lax)
 
-    def attachable(pos: Position) -> tuple[TileType, ...]:
-        if index is not None:
-            return index.attachable(placements, pos)
-        return tuple(t for t in system.tiles
-                     if can_attach(assembly, pos, t, system.temperature, lax=True))
+    # The frontier as a flat list of pairs, so that a uniform draw is one
+    # index, plus each position's indices into it for swap-removal.
+    pairs: list[tuple[Position, TileType]] = []
+    slots: dict[Position, list[int]] = {}
 
-    def in_bound(pos: Position) -> bool:
-        return 0 <= pos[0] < height and 0 <= pos[1] < width
-
-    candidates: dict[Position, tuple[TileType, ...]] = {}
+    def drop(pos: Position) -> None:
+        # Descending order: the pair moved into a freed index is never
+        # one of pos's own.
+        for i in sorted(slots.pop(pos), reverse=True):
+            last = pairs.pop()
+            if i < len(pairs):
+                pairs[i] = last
+                moved = slots[last[0]]
+                moved[moved.index(len(pairs))] = i
 
     def refresh(pos: Position) -> None:
-        if pos in placements or not in_bound(pos):
-            candidates.pop(pos, None)
+        if pos in placements or not (0 <= pos[0] < height
+                                     and 0 <= pos[1] < width):
             return
-        tiles = attachable(pos)
+        if pos in slots:
+            drop(pos)
+        tiles = candidates[_profile(placements, pos)]
         if tiles:
-            candidates[pos] = tiles
-        else:
-            candidates.pop(pos, None)
+            slots[pos] = list(range(len(pairs), len(pairs) + len(tiles)))
+            pairs.extend([(pos, t) for t in tiles])
 
     for (x, y) in placements:
-        for d in Direction:
-            dx, dy = d.delta
-            q = (x + dx, y + dy)
-            if q not in placements:
-                refresh(q)
+        for dx, dy in _DELTAS:
+            refresh((x + dx, y + dy))
 
-    while candidates:
-        pairs = [(pos, t) for pos in sorted(candidates)
-                 for t in candidates[pos]]
-        pos, tile = pairs[rng.randrange(len(pairs))]
+    while pairs:
+        pos, tile = pairs[randrange(len(pairs))]
         placements[pos] = tile
         assembly.attachment_order.append(pos)
-        candidates.pop(pos, None)
+        drop(pos)
         x, y = pos
-        for d in Direction:
-            dx, dy = d.delta
+        for dx, dy in _DELTAS:
             refresh((x + dx, y + dy))
     return assembly
 
@@ -309,6 +298,28 @@ def assemble_bounded(system: TileSystem, bound: tuple[int, int],
 class DirectednessResult:
     directed: bool
     witness: tuple[Position, int | None, int | None] | None
+
+
+def first_divergence(runs: Iterable[Assembly]
+                     ) -> tuple[Position, int | None, int | None] | None:
+    """Compare each later run's placements with the first run's.
+
+    For the first run that differs, returns the first position (in
+    position order) where it does, with the two tile ids (None marks a
+    position one run never filled); None when every run placed the same
+    tiles.  Runs are consumed only up to the first that differs.
+    """
+    runs = iter(runs)
+    reference = next(runs).id_map()
+    for run in runs:
+        current = run.id_map()
+        if current == reference:
+            continue
+        for pos in sorted(reference.keys() | current.keys()):
+            a, b = reference.get(pos), current.get(pos)
+            if a != b:
+                return (pos, a, b)
+    return None
 
 
 def is_directed_empirically(system: TileSystem, bound: tuple[int, int],
@@ -321,31 +332,23 @@ def is_directed_empirically(system: TileSystem, bound: tuple[int, int],
     """
     if trials < 2:
         raise ValueError("at least two trials are required")
-    reference = assemble_bounded(system, bound, base_seed, lax=lax).id_map()
-    for k in range(1, trials):
-        current = assemble_bounded(system, bound, base_seed + k, lax=lax).id_map()
-        if current == reference:
-            continue
-        for pos in sorted(set(reference) | set(current)):
-            a, b = reference.get(pos), current.get(pos)
-            if a != b:
-                return DirectednessResult(False, (pos, a, b))
-    return DirectednessResult(True, None)
+    witness = first_divergence(
+        assemble_bounded(system, bound, base_seed + k, lax=lax)
+        for k in range(trials))
+    return DirectednessResult(witness is None, witness)
 
 
 def replay_is_valid(assembly: Assembly, temperature: int,
                     lax: bool = False) -> bool:
     """Re-validate an assembly against its own attachment order."""
     order = assembly.attachment_order
-    if sorted(order) != sorted(assembly.placements):
+    placements = assembly.placements
+    if len(order) != len(placements) or set(order) != placements.keys():
         return False
-    seed = {pos: assembly.placements[pos]
-            for pos in order[:assembly.seed_count]}
-    partial = Assembly.from_seed(seed)
+    partial = {pos: placements[pos] for pos in order[:assembly.seed_count]}
     for pos in order[assembly.seed_count:]:
-        tile = assembly.placements[pos]
-        if not can_attach(partial, pos, tile, temperature, lax=lax):
+        tile = placements[pos]
+        if not _accepts(tile.edges, _profile(partial, pos), temperature, lax):
             return False
-        partial.placements[pos] = tile
-        partial.attachment_order.append(pos)
+        partial[pos] = tile
     return True

@@ -43,6 +43,17 @@ def test_selfsim_exit_codes(capsys):
     assert "witness" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cell", [("99", "99"), ("-1", "0")],
+                         ids=["past-window", "negative"])
+def test_selfsim_corrupt_outside_window_exits_2(capsys, cell):
+    assert run("selfsim", "--a", "1", "--b", "1", "--c", "1", "--p", "3",
+               "--size", "27", "--corrupt", *cell) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "outside the 27x27 window" in err[0]
+
+
 def test_tileset_carpet_records(tmp_path):
     out = tmp_path / "carpet.tiles"
     assert run("tileset", "--carpet", "--out", str(out)) == 0

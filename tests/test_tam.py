@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractile import (Assembly, Coefficients, Direction, TileSystem, TileType,
-                      assemble_bounded, bond_strength, can_attach,
-                      carpet_system, delannoy_rule, frontier,
-                      is_directed_empirically, replay_is_valid, rule_matrix)
+                      assemble_bounded, bond_strength, build_full_system,
+                      can_attach, carpet_system, delannoy_rule, frontier,
+                      is_directed_empirically, prune_reachable,
+                      replay_is_valid, rule_matrix)
+from fractile.formats import write_assembly
 
 W, S, E, N = Direction.W, Direction.S, Direction.E, Direction.N
 
@@ -260,8 +263,8 @@ def test_directedness_requires_two_trials(carpet):
 
 
 def test_strict_and_lax_agree_on_carpet(carpet):
-    strict = assemble_bounded(carpet, (27, 27), 9)
-    lax = assemble_bounded(carpet, (27, 27), 9, lax=True)
+    strict = assemble_bounded(carpet, (81, 81), 9)
+    lax = assemble_bounded(carpet, (81, 81), 9, lax=True)
     assert strict.id_map() == lax.id_map()
 
 
@@ -280,3 +283,83 @@ def test_assembly_grows_monotonically(carpet):
         assert pos not in seen
         seen.add(pos)
     assert seen == set(asm.placements)
+
+
+# SHA-256 of `write_assembly` dumps of directed systems, recorded in the
+# benchmark's golden file; any order seed must reproduce them.
+DUMP_SHA256 = {
+    "carpet-strict-81":
+        "3be5e29348db5935009b4e17a12ab2546bc68bf3c51b7a9508aae667ef263af4",
+    "carpet-lax-81":
+        "3be5e29348db5935009b4e17a12ab2546bc68bf3c51b7a9508aae667ef263af4",
+    "t131-strict-125":
+        "25cc0ed366c93e60510af73c765b6361968e2b717989cf18a89af45c59a68fa2",
+}
+
+
+def dump_sha256(system, bound, order_seed, lax=False):
+    asm = assemble_bounded(system, bound, order_seed, lax=lax)
+    return hashlib.sha256(write_assembly(asm, bound).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("lax", [False, True], ids=["strict", "lax"])
+def test_carpet_dump_digest_81(carpet, lax):
+    key = "carpet-lax-81" if lax else "carpet-strict-81"
+    assert dump_sha256(carpet, (81, 81), 17, lax=lax) == DUMP_SHA256[key]
+
+
+def test_mod5_dump_digest_125():
+    rule = delannoy_rule(Coefficients(1, 2, 2, 5))
+    system = prune_reachable(build_full_system(rule), rule, (125, 125))
+    assert len(system.tiles) == 131
+    assert dump_sha256(system, (125, 125), 3) == DUMP_SHA256["t131-strict-125"]
+
+
+def reference_attaches(placements, pos, tile, temperature, lax):
+    """The documented attachment rule, edge by edge, for one tile."""
+    x, y = pos
+    total = 0
+    for d in Direction:
+        dx, dy = d.delta
+        neighbor = placements.get((x + dx, y + dy))
+        if neighbor is None:
+            continue
+        if (tile.color(d) == neighbor.color(d.opposite)
+                and tile.strength(d) == neighbor.strength(d.opposite)):
+            total += tile.strength(d)
+        elif not lax:
+            return False
+    return total >= temperature
+
+
+GLUE = st.tuples(st.sampled_from("ab"), st.integers(0, 2))
+
+
+@st.composite
+def systems_with_placements(draw):
+    edges = draw(st.lists(st.tuples(GLUE, GLUE, GLUE, GLUE),
+                          min_size=1, max_size=6))
+    tiles = tuple(TileType.make(i, f"t{i}", *e) for i, e in enumerate(edges))
+    cells = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=10))
+    placed = {pos: draw(st.sampled_from(tiles)) for pos in sorted(cells)}
+    first = min(placed)
+    system = TileSystem(tiles, {first: placed[first]},
+                        draw(st.integers(1, 3)))
+    return system, placed
+
+
+@given(systems_with_placements(), st.booleans())
+@settings(max_examples=200)
+def test_candidates_match_per_tile_rule(case, lax):
+    system, placed = case
+    asm = Assembly(dict(placed), sorted(placed), 1)
+    empty = {(x + dx, y + dy) for (x, y) in placed
+             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))} - set(placed)
+    expected = {(q, t) for q in empty for t in system.tiles
+                if reference_attaches(placed, q, t, system.temperature, lax)}
+    assert frontier(asm, system, lax=lax) == expected
+    for q in empty:
+        for t in system.tiles:
+            assert can_attach(asm, q, t, system.temperature, lax=lax) == (
+                (q, t) in expected)
