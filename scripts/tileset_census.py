@@ -11,19 +11,7 @@ reach the classic count of 30.
 import argparse
 
 from fractile import (Coefficients, build_full_system, delannoy_rule,
-                      horizon_is_stable, prune_reachable, rule_matrix,
-                      window_at)
-from fractile.tilegen import glue_rows, glue_vector
-
-
-def window_census(rule, side: int) -> int:
-    labels = rule_matrix(rule, side, side)
-    keys = set()
-    for x in range(side):
-        for y in range(side):
-            w = window_at(labels, x, y, rule.n)
-            keys.add((glue_vector(w.west), glue_rows(w.south)))
-    return len(keys)
+                      horizon_is_stable, prune_reachable, scan_windows)
 
 
 def main() -> None:
@@ -41,7 +29,8 @@ def main() -> None:
         full = build_full_system(rule)
         print(f"\n{rule.name}: {len(full.tiles)} tiles before pruning")
         for side in args.horizons:
-            count = window_census(rule, side)
+            _, interior, boundary = scan_windows(rule, side, side)
+            count = len(interior | boundary)
             pruned = prune_reachable(full, rule, (side, side))
             stable = horizon_is_stable(rule, (side, side))
             print(f"  horizon {side:>4}: {count:>3} occurring windows, "

@@ -6,12 +6,12 @@ from .matrix import (BOTTOM, Coefficients, ResidueMatrix, closed_form,
 from .selfsim import (Block, LemmaReport, SelfSimReport, block, check_lemmas,
                       check_self_similarity, fractal_set, is_n_block)
 from .tam import (Assembly, Direction, DirectednessResult, TileSystem,
-                  TileType, assemble_bounded, bond_strength, can_attach,
-                  frontier, is_directed_empirically, replay_is_valid)
+                  TileType, assemble_bounded, can_attach, frontier,
+                  is_directed_empirically, replay_is_valid)
 from .tilegen import (DEFAULT_PRUNE_HORIZON, LocalRule, WindowContent,
                       build_full_system, build_tile, carpet_system,
                       delannoy_rule, horizon_is_stable, prune_reachable,
-                      rule_matrix, window_at)
+                      rule_matrix, scan_windows, window_at)
 from .conformance import (ConformanceReport, InductionReport,
                           check_induction_clauses, verify_self_assembly)
 
@@ -24,11 +24,12 @@ __all__ = [
     "Block", "LemmaReport", "SelfSimReport", "block", "check_lemmas",
     "check_self_similarity", "fractal_set", "is_n_block",
     "Assembly", "Direction", "DirectednessResult", "TileSystem", "TileType",
-    "assemble_bounded", "bond_strength", "can_attach", "frontier",
-    "is_directed_empirically", "replay_is_valid",
+    "assemble_bounded", "can_attach", "frontier", "is_directed_empirically",
+    "replay_is_valid",
     "DEFAULT_PRUNE_HORIZON", "LocalRule", "WindowContent",
     "build_full_system", "build_tile", "carpet_system", "delannoy_rule",
-    "horizon_is_stable", "prune_reachable", "rule_matrix", "window_at",
+    "horizon_is_stable", "prune_reachable", "rule_matrix", "scan_windows",
+    "window_at",
     "ConformanceReport", "InductionReport", "check_induction_clauses",
     "verify_self_assembly",
     "__version__",

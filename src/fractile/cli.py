@@ -72,6 +72,8 @@ def cmd_tileset(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if len(args.bound) > 2:
+        raise ValueError(f"--bound takes 1 or 2 values, got {len(args.bound)}")
     text = Path(args.tileset).read_text()
     system = formats.parse_tileset(text)
     bound = (args.bound[0], args.bound[-1])

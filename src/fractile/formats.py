@@ -160,8 +160,10 @@ def parse_assembly(text: str) -> tuple[tuple[int, int], dict[Position, tuple[int
             elif tokens[0] == "placed":
                 count = int(tokens[1])
             elif tokens[0] == "place":
-                placements[(int(tokens[1]), int(tokens[2]))] = (
-                    int(tokens[3]), tokens[4])
+                pos = (int(tokens[1]), int(tokens[2]))
+                if pos in placements:
+                    raise FormatError(f"duplicate placement at {pos}")
+                placements[pos] = (int(tokens[3]), tokens[4])
             else:
                 raise FormatError(f"unknown record kind {tokens[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -170,6 +172,10 @@ def parse_assembly(text: str) -> tuple[tuple[int, int], dict[Position, tuple[int
             raise FormatError(f"malformed record: {line!r}") from exc
     if bound is None:
         raise FormatError("missing bound record")
+    for x, y in placements:
+        if not (0 <= x < bound[0] and 0 <= y < bound[1]):
+            raise FormatError(f"placement {(x, y)} is outside the "
+                              f"{bound[0]}x{bound[1]} bound")
     if count is not None and count != len(placements):
         raise FormatError("placement count does not match the records")
     return bound, placements

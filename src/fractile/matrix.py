@@ -46,6 +46,10 @@ BOTTOM = _Bottom()
 # Hard cap for the exponential path enumeration oracle.
 PATH_ORACLE_LIMIT = 22
 
+# Largest accepted modulus: up to it 2*(p-1)**2 fits in int64, so the
+# vectorized recursion is exact.
+MAX_MODULUS = 2 ** 31 - 1
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; inputs here are desk-scale."""
@@ -75,6 +79,9 @@ class Coefficients:
     def __post_init__(self) -> None:
         if min(self.a, self.b, self.c) < 0:
             raise ValueError("coefficients must be nonnegative")
+        if self.p > MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} exceeds MAX_MODULUS = "
+                             f"{MAX_MODULUS}, the limit of exact arithmetic")
         if not is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
         object.__setattr__(self, "a", self.a % self.p)

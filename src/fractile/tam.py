@@ -140,17 +140,6 @@ class Assembly:
         return {pos: tile.id for pos, tile in self.placements.items()}
 
 
-def bond_strength(t1: TileType, d: Direction, t2: TileType) -> int:
-    """Strength of the bond across t1's edge d against the abutting edge of t2.
-
-    Zero unless both the colors and the strengths of the abutting edges match.
-    """
-    s = t1.strength(d)
-    if t1.color(d) == t2.color(d.opposite) and s == t2.strength(d.opposite):
-        return s
-    return 0
-
-
 def _profile(placements: dict[Position, TileType], pos: Position) -> Profile:
     """The glue each neighbor of `pos` presents to it, per side in
     EDGE_ORDER (W, S, E, N); None where that neighbor cell is empty."""

@@ -111,8 +111,9 @@ class WindowContent:
         return all(s is BOTTOM for row in self.south for s in row)
 
 
-def window_at(labels: Sequence[Sequence], x: int, y: int, n: int) -> WindowContent:
-    """Window contents at (x, y) read from a label grid; ⊥ off-quadrant."""
+def _window(labels: Sequence[Sequence], x: int, y: int,
+            n: int) -> tuple[tuple, tuple]:
+    """Raw (west, south) at (x, y) read from a label grid; ⊥ off-quadrant."""
 
     def get(i: int, j: int):
         if i < 0 or j < 0:
@@ -123,19 +124,42 @@ def window_at(labels: Sequence[Sequence], x: int, y: int, n: int) -> WindowConte
     south = tuple(
         tuple(get(x - i, y - n + 1 + m) for m in range(n))
         for i in range(1, n))
-    return WindowContent(west, south)
+    return west, south
+
+
+def window_at(labels: Sequence[Sequence], x: int, y: int, n: int) -> WindowContent:
+    """Window contents at (x, y) read from a label grid; ⊥ off-quadrant."""
+    return WindowContent(*_window(labels, x, y, n))
+
+
+def scan_windows(rule: LocalRule, height: int,
+                 width: int) -> tuple[list[list], set, set]:
+    """Evaluate the rule cell by cell in row-major order, collecting windows.
+
+    Returns the label grid and the distinct raw (west, south) windows,
+    split into those of the last row and column (`boundary`) and those of
+    every other cell (`interior`).  Symbols serialize injectively, so raw
+    windows compare exactly as their glues do.
+    """
+    if height < 1 or width < 1:
+        raise ValueError("dimensions must be positive")
+    labels: list[list] = [[None] * width for _ in range(height)]
+    interior: set = set()
+    boundary: set = set()
+    for x in range(height):
+        for y in range(width):
+            window = _window(labels, x, y, rule.n)
+            if x == height - 1 or y == width - 1:
+                boundary.add(window)
+            else:
+                interior.add(window)
+            labels[x][y] = rule.evaluate(*window)
+    return labels, interior, boundary
 
 
 def rule_matrix(rule: LocalRule, height: int, width: int) -> list[list]:
     """Evaluate the rule cell by cell in row-major order."""
-    if height < 1 or width < 1:
-        raise ValueError("dimensions must be positive")
-    labels: list[list] = [[None] * width for _ in range(height)]
-    for x in range(height):
-        for y in range(width):
-            w = window_at(labels, x, y, rule.n)
-            labels[x][y] = rule.evaluate(w.west, w.south)
-    return labels
+    return scan_windows(rule, height, width)[0]
 
 
 def build_tile(rule: LocalRule, window: WindowContent,
@@ -216,17 +240,6 @@ def _mentions_bottom(key: tuple[str, str]) -> bool:
     return any(tok == "_" for part in key for tok in _glue_tokens(part))
 
 
-def _occurring_keys(rule: LocalRule, horizon: tuple[int, int]) -> set[tuple[str, str]]:
-    height, width = horizon
-    labels = rule_matrix(rule, height, width)
-    keys = set()
-    for x in range(height):
-        for y in range(width):
-            w = window_at(labels, x, y, rule.n)
-            keys.add((glue_vector(w.west), glue_rows(w.south)))
-    return keys
-
-
 def prune_reachable(system: TileSystem, rule: LocalRule,
                     horizon: tuple[int, int]) -> TileSystem:
     """Drop boundary tiles whose windows never occur within the horizon.
@@ -238,13 +251,11 @@ def prune_reachable(system: TileSystem, rule: LocalRule,
     are kept only if the window occurs in the matrix over the horizon.
     Kept tiles are renumbered consecutively in their original order.
     """
-    height, width = horizon
-    if height < 1 or width < 1:
-        raise ValueError("horizon must be positive in both dimensions")
-    occurring = _occurring_keys(rule, horizon)
+    _, interior, boundary = scan_windows(rule, *horizon)
+    occurring = {(glue_vector(west), glue_rows(south))
+                 for west, south in interior | boundary}
     kept = []
     seed_tile = None
-    old_seed = {pos for pos in system.seed}
     seed_keys = {_window_key(t) for t in system.seed.values()}
     for tile in system.tiles:
         key = _window_key(tile)
@@ -256,7 +267,7 @@ def prune_reachable(system: TileSystem, rule: LocalRule,
             seed_tile = new_tile
     if seed_tile is None:
         raise ValueError("pruning removed the seed tile")
-    seed = {pos: seed_tile for pos in old_seed}
+    seed = {pos: seed_tile for pos in system.seed}
     return TileSystem(tuple(kept), seed, system.temperature)
 
 
@@ -265,17 +276,7 @@ def horizon_is_stable(rule: LocalRule, horizon: tuple[int, int]) -> bool:
     height, width = horizon
     if height < 2 or width < 2:
         return False
-    labels = rule_matrix(rule, height, width)
-    interior = set()
-    boundary = set()
-    for x in range(height):
-        for y in range(width):
-            w = window_at(labels, x, y, rule.n)
-            key = (glue_vector(w.west), glue_rows(w.south))
-            if x == height - 1 or y == width - 1:
-                boundary.add(key)
-            else:
-                interior.add(key)
+    _, interior, boundary = scan_windows(rule, height, width)
     return boundary <= interior
 
 

@@ -25,6 +25,17 @@ def test_matrix_rejects_composite_modulus(capsys):
     assert "prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["4294967311", "3037000493"])
+def test_matrix_rejects_modulus_over_the_limit(capsys, p):
+    # both primes wrapped int64 silently before the limit existed
+    assert run("matrix", "--a", "1", "--b", "1", "--c", "1", "--p", p,
+               "--size", "6") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "2147483647" in captured.err
+
+
 def test_matrix_pascal_grid(capsys):
     assert run("matrix", "--a", "1", "--b", "0", "--c", "1", "--p", "2",
                "--size", "4") == 0
@@ -128,6 +139,16 @@ def test_simulate_with_image_and_rectangular_bound(tmp_path):
     assert arr.shape == (9, 27, 3)
 
 
+def test_simulate_bound_takes_one_or_two_values(tmp_path, capsys):
+    tiles = tmp_path / "carpet.tiles"
+    run("tileset", "--carpet", "--out", str(tiles))
+    out = tmp_path / "sim.dump"
+    assert run("simulate", "--tileset", str(tiles), "--bound", "3", "4", "5",
+               "--out", str(out)) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_simulate_rejects_malformed_tileset(tmp_path):
     bad = tmp_path / "bad.tiles"
     bad.write_text("tileset v1\ntemperature 2\nseed 0 0 0\ntile 0 x W\n")
@@ -177,6 +198,28 @@ def test_render_assembly_dump(tmp_path):
     img = tmp_path / "a.ppm"
     assert run("render", str(dump), "--out", str(img), "--cell-size", "1") == 0
     assert read_ppm(img.read_bytes()).shape == (9, 9, 3)
+
+
+@pytest.mark.parametrize("records,problem", [
+    (["bound 2 2", "place 0 0 1 1", "place 0 0 2 2", "place 9 9 3 1"],
+     "duplicate"),
+    (["place 1 1 1 1", "place 9 9 3 1", "bound 2 2"], "outside"),
+    (["bound 2 2", "place -1 0 1 1"], "outside"),
+])
+def test_parse_assembly_rejects_bad_placements(tmp_path, capsys, records,
+                                               problem):
+    text = "\n".join(["assembly v1"] + records) + "\n"
+    with pytest.raises(formats.FormatError, match=problem):
+        formats.parse_assembly(text)
+    dump = tmp_path / "bad.dump"
+    dump.write_text(text)
+    assert run("render", str(dump), "--out", str(tmp_path / "a.ppm")) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_parse_assembly_accepts_bound_after_placements():
+    text = "assembly v1\nplace 1 0 4 2\nplaced 1\nbound 2 1\n"
+    assert formats.parse_assembly(text) == ((2, 1), {(1, 0): (4, "2")})
 
 
 def test_render_palette_gap_is_an_input_error(tmp_path):

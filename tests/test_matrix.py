@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fractile import (BOTTOM, Coefficients, ResidueMatrix, closed_form,
                       delannoy_matrix, is_prime, lucas_binomial,
                       pascal_matrix, path_cost_oracle)
-from fractile.matrix import PATH_ORACLE_LIMIT
+from fractile.matrix import MAX_MODULUS, PATH_ORACLE_LIMIT
 
 from conftest import SMALL_PRIMES, reference_corner_matrix
 
@@ -146,6 +146,20 @@ def test_composite_modulus_rejected():
     for bad in (0, 1, 4, 6, 9, 100):
         with pytest.raises(ValueError):
             Coefficients(1, 1, 1, bad)
+
+
+def test_largest_modulus_is_exact():
+    p = MAX_MODULUS
+    assert p == 2147483647 and is_prime(p)
+    coeffs = Coefficients(p - 2, p - 3, p - 5, p)
+    m = delannoy_matrix(coeffs, 6, 6)
+    assert m.entries.tolist() == [[closed_form(coeffs, i, j) for j in range(6)]
+                                  for i in range(6)]
+
+
+def test_modulus_over_the_limit_rejected():
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        Coefficients(1, 1, 1, 2147483659)
 
 
 def test_negative_coefficients_rejected():

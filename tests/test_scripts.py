@@ -1,0 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fractile
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    src = str(Path(fractile.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(REPO / "scripts" / name),
+                           *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_tileset_census_carpet():
+    proc = run_script("tileset_census.py", "--coeffs", "1", "1", "1", "3",
+                      "--horizons", "27", "243")
+    assert proc.returncode == 0, proc.stderr
+    rows = [ln for ln in proc.stdout.splitlines() if "horizon" in ln]
+    assert len(rows) == 2
+    for row in rows:
+        assert "26 occurring windows" in row
+        assert "30 tiles kept" in row
+        assert "stable" in row and "still growing" not in row

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractile import (Assembly, Coefficients, Direction, TileSystem, TileType,
-                      assemble_bounded, bond_strength, build_full_system,
-                      can_attach, carpet_system, delannoy_rule, frontier,
+                      assemble_bounded, build_full_system, can_attach,
+                      carpet_system, delannoy_rule, frontier,
                       is_directed_empirically, prune_reachable,
                       replay_is_valid, rule_matrix)
 from fractile.formats import write_assembly
@@ -46,40 +46,6 @@ def test_direction_geometry():
 def test_tile_type_validation():
     with pytest.raises(ValueError):
         TileType.make(0, "x", ("a", 3), ("b", 1), ("c", 1), ("d", 1))
-
-
-def test_seed_bonds_row0_at_strength_2(parts):
-    assert bond_strength(parts["seed"], E, parts["row0"]) == 2
-    assert bond_strength(parts["row0"], W, parts["seed"]) == 2
-
-
-def test_mismatched_colors_do_not_bond(parts):
-    seed = parts["seed"]
-    assert seed.color(W) != seed.color(E)
-    assert bond_strength(seed, W, seed) == 0
-
-
-def test_equal_strength_is_required_to_bond():
-    a = TileType.make(0, "a", ("g", 1), ("x", 1), ("y", 1), ("z", 1))
-    b = TileType.make(1, "b", ("q", 1), ("x", 1), ("g", 2), ("z", 1))
-    # colors match across b.E / a.W but strengths 2 vs 1 differ
-    assert bond_strength(b, E, a) == 0
-    assert bond_strength(a, W, b) == 0
-
-
-def test_interior_tiles_bond_at_strength_1(carpet, parts):
-    left = parts["interior_111"]          # east glue is its label "0"
-    right = carpet_tile(carpet, "0", "(1,1)")
-    assert bond_strength(left, E, right) == 1
-
-
-@given(st.data())
-@settings(max_examples=25)
-def test_bond_strength_is_symmetric(carpet, data):
-    t1 = data.draw(st.sampled_from(carpet.tiles))
-    t2 = data.draw(st.sampled_from(carpet.tiles))
-    d = data.draw(st.sampled_from(list(Direction)))
-    assert bond_strength(t1, d, t2) == bond_strength(t2, d.opposite, t1)
 
 
 def test_can_attach_single_strength_2_bond(carpet, parts):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from fractile import (BOTTOM, Coefficients, Direction, LocalRule,
                       build_tile, carpet_system, delannoy_matrix,
                       delannoy_rule, horizon_is_stable, prune_reachable,
                       rule_matrix, window_at)
+from fractile.formats import write_tileset
 from fractile.tilegen import glue_rows, glue_vector, symbol_token
 
 from conftest import window_sum_rule
@@ -240,3 +243,68 @@ def test_rule_evaluation_must_stay_in_alphabet():
     bad = LocalRule(2, (0, 1), lambda west, south: 7)
     with pytest.raises(ValueError):
         build_tile(bad, WindowContent((0,), ((0, 0),)))
+
+
+# SHA-256 of the pruned tileset file and the stability verdict, recorded
+# before the window scan was folded into one pass.
+PRUNED_PINS = [
+    (lambda: delannoy_rule(Coefficients(1, 2, 2, 5)), 125, 131,
+     "7055b45ae8e38023cda1c9244fe145ee84e2a5980f791d12e4b8b33815bad512"),
+    (window_sum_rule, 27, 272,
+     "b2e368c17b1b14d59e319342d79986a202d3026b380033d0fbe97e18e6350728"),
+]
+
+
+@pytest.mark.parametrize("make_rule,side,count,digest", PRUNED_PINS,
+                         ids=["mod5-1-2-2-at-125", "window-sum-at-27"])
+def test_pruned_tileset_digest_pins(make_rule, side, count, digest):
+    rule = make_rule()
+    pruned = prune_reachable(build_full_system(rule), rule, (side, side))
+    assert len(pruned.tiles) == count
+    text = write_tileset(pruned)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert horizon_is_stable(rule, (side, side))
+
+
+def reference_per_cell_windows(labels, n):
+    """Per-cell loop: serialized window keys of every cell, split into
+    the interior and the last row and column."""
+    height, width = len(labels), len(labels[0])
+    interior, boundary = set(), set()
+    for x in range(height):
+        for y in range(width):
+            w = window_at(labels, x, y, n)
+            key = (glue_vector(w.west), glue_rows(w.south))
+            if x == height - 1 or y == width - 1:
+                boundary.add(key)
+            else:
+                interior.add(key)
+    return interior, boundary
+
+
+def window_key(tile):
+    return (tile.color(W), tile.color(S))
+
+
+@given(st.sampled_from((2, 3, 5)), st.data(),
+       st.integers(1, 12), st.integers(1, 12))
+@settings(max_examples=40)
+def test_prune_and_stability_equal_per_cell_reference(p, data, height, width):
+    a = data.draw(st.integers(1, p - 1))
+    b = data.draw(st.integers(0, p - 1))
+    c = data.draw(st.integers(1, p - 1))
+    coeffs = Coefficients(a, b, c, p)
+    rule = delannoy_rule(coeffs)
+    labels = delannoy_matrix(coeffs, height, width).entries.tolist()
+    interior, boundary = reference_per_cell_windows(labels, rule.n)
+    occurring = interior | boundary
+
+    full = build_full_system(rule)
+    want = [t.id for t in full.tiles
+            if "_" not in "".join(window_key(t)) or window_key(t) in occurring]
+    id_of = {window_key(t): t.id for t in full.tiles}
+    pruned = prune_reachable(full, rule, (height, width))
+    assert [id_of[window_key(t)] for t in pruned.tiles] == want
+
+    stable = height >= 2 and width >= 2 and boundary <= interior
+    assert horizon_is_stable(rule, (height, width)) == stable
