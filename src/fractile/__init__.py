@@ -3,8 +3,8 @@
 from .matrix import (BOTTOM, Coefficients, ResidueMatrix, closed_form,
                      delannoy_matrix, is_prime, lucas_binomial, pascal_matrix,
                      path_cost_oracle)
-from .selfsim import (Block, LemmaReport, SelfSimReport, block, check_lemmas,
-                      check_self_similarity, fractal_set, is_n_block)
+from .selfsim import (LemmaReport, SelfSimReport, check_lemmas,
+                      check_self_similarity, fractal_set)
 from .tam import (Assembly, Direction, DirectednessResult, TileSystem,
                   TileType, assemble_bounded, can_attach, frontier,
                   is_directed_empirically, replay_is_valid)
@@ -21,8 +21,8 @@ __all__ = [
     "BOTTOM", "Coefficients", "ResidueMatrix", "closed_form",
     "delannoy_matrix", "is_prime", "lucas_binomial", "pascal_matrix",
     "path_cost_oracle",
-    "Block", "LemmaReport", "SelfSimReport", "block", "check_lemmas",
-    "check_self_similarity", "fractal_set", "is_n_block",
+    "LemmaReport", "SelfSimReport", "check_lemmas", "check_self_similarity",
+    "fractal_set",
     "Assembly", "Direction", "DirectednessResult", "TileSystem", "TileType",
     "assemble_bounded", "can_attach", "frontier", "is_directed_empirically",
     "replay_is_valid",

@@ -13,11 +13,11 @@ matrix window at its position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .tam import (Assembly, Direction, Position, assemble_bounded,
+from .tam import (Assembly, Direction, Position, TileType, assemble_bounded,
                   first_divergence)
-from .tilegen import (LocalRule, build_full_system, build_tile,
+from .tilegen import (LocalRule, WindowContent, build_full_system, build_tile,
                       prune_reachable, rule_matrix, symbol_token, window_at)
 
 
@@ -168,6 +168,8 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
     max_y = max((y for _, y in positions), default=0)
     expected = rule_matrix(rule, max(max_x + 1, rule.n), max(max_y + 1, rule.n))
 
+    tiles: dict[WindowContent, TileType] = {}  # one compiled tile per window
+
     def record(name: str, step: int, pos: Position, detail: str) -> None:
         if violations[name] is None:
             violations[name] = (step, pos, detail)
@@ -191,7 +193,10 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
         if tile.strength(Direction.N) == 2 and y != 0:
             record("north_strength2_in_col0", step, pos,
                    f"tile {tile.id} has a strength-2 north edge off column 0")
-        want = build_tile(rule, window_at(expected, x, y, rule.n))
+        window = window_at(expected, x, y, rule.n)
+        want = tiles.get(window)
+        if want is None:
+            want = tiles[window] = build_tile(rule, window)
         if not tile.same_surface(want):
             record("tile_matches_window", step, pos,
                    f"placed tile {tile.id} ({tile.label}) differs from the "

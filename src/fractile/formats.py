@@ -29,7 +29,7 @@ binary portable pixmaps (P6) with matrix row 0 along the bottom edge.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,11 @@ def parse_grid(text: str) -> ResidueMatrix:
         raise FormatError("grid entries must be integers") from exc
     if any(len(row) != width for row in data):
         raise FormatError("grid row width mismatch")
-    return ResidueMatrix(modulus, np.array(data, dtype=np.int64))
+    try:
+        entries = np.array(data, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError("grid entries must fit in int64") from exc
+    return ResidueMatrix(modulus, entries)
 
 
 def write_tileset(system: TileSystem) -> str:
@@ -271,7 +275,7 @@ def assembly_value_grid(placements: dict[Position, tuple[int, str]],
             continue
         try:
             grid[x, y] = int(label)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise FormatError(
                 f"label {label!r} at ({x}, {y}) is not a residue") from exc
     return grid

@@ -22,39 +22,6 @@ from .matrix import Coefficients, ResidueMatrix, delannoy_matrix
 
 
 @dataclass(frozen=True)
-class Block:
-    """A u x u view into a matrix with its lower-left corner at (x, y)."""
-
-    matrix: ResidueMatrix
-    x: int
-    y: int
-    size: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.entries[self.x:self.x + self.size,
-                                   self.y:self.y + self.size]
-
-
-def block(matrix: ResidueMatrix, x: int, y: int, u: int) -> Block:
-    if u < 1 or x < 0 or y < 0:
-        raise ValueError("block origin must be nonnegative and size positive")
-    if x + u > matrix.height or y + u > matrix.width:
-        raise ValueError(
-            f"block ({x}, {y}) of size {u} does not fit in "
-            f"{matrix.height}x{matrix.width}")
-    return Block(matrix, x, y, u)
-
-
-def is_n_block(candidate: Block, reference_unit: Block, n: int, p: int) -> bool:
-    """True iff candidate == n * reference_unit elementwise mod p."""
-    if candidate.size != reference_unit.size:
-        raise ValueError("blocks must have equal size")
-    expected = (n * reference_unit.values) % p
-    return bool(np.array_equal(candidate.values % p, expected))
-
-
-@dataclass(frozen=True)
 class Violation:
     """Least witness of a failed congruence, ordered by (k, s, t, i, j)."""
 
@@ -157,15 +124,20 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     One matrix of side p^(k_max+1) is materialized and all identities are
     evaluated on it over their full quantifier ranges:
 
-    * corner entries M[0, p^k - 1] and M[p^k - 1, 0] are 1;
-    * the first row/column of each boundary block scales geometrically,
-      M[0, t*p^k + j] == a^t * a^j and M[s*p^k + i, 0] == c^s * c^i;
-    * adjacent entries along column p^k - 1 cancel,
-      a*M[i, p^k - 1] + b*M[i-1, p^k - 1] == 0, and mirrored along
-      row p^k - 1 with weights b and c;
+    * corner entries M[0, p^k - 1] are 1;
+    * the first row of each boundary block scales geometrically,
+      M[0, t*p^k + j] == a^t * a^j;
+    * adjacent entries along row p^k - 1 cancel,
+      b*M[p^k - 1, j] + c*M[p^k - 1, j + 1] == 0;
     * runs anchored at block corners propagate geometrically: wherever
       the row below a run cancels under (b, c), the run itself is
-      M[i0, x0 + j] == M[i0, x0] * a^j, and the transposed statement.
+      M[i0, x0 + j] == M[i0, x0] * a^j.
+
+    Each identity is stated along rows only.  The corner recursion is
+    symmetric under transposition with a and c swapped, so the column
+    identities are checked as the row identities of the transpose under
+    `coeffs.transposed()`.  Witnesses name their side, "row" or "column",
+    and give block indices (s, t) in the matrix's own frame.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -174,102 +146,67 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     if side > side_budget:
         raise ValueError(
             f"window side {side} exceeds the budget {side_budget}")
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
     ent = delannoy_matrix(coeffs, side, side).entries
+    rows = ("row", ent, coeffs)
+    columns = ("column", ent.T, coeffs.transposed())
     results: list[LemmaResult] = []
 
-    # Corners: M[0, p^k - 1] == M[p^k - 1, 0] == 1.
-    cases = 0
-    bad = None
+    cases, bad = 0, None
     for k in range(k_max + 2):
         w = p ** k
-        cases += 2
-        if int(ent[0, w - 1]) != 1 and bad is None:
-            bad = ("row", k, int(ent[0, w - 1]))
-        if int(ent[w - 1, 0]) != 1 and bad is None:
-            bad = ("column", k, int(ent[w - 1, 0]))
+        for name, m, _ in (rows, columns):
+            cases += 1
+            if bad is None and int(m[0, w - 1]) != 1:
+                bad = (name, k, int(m[0, w - 1]))
     results.append(LemmaResult("corner_entries_are_one", bad is None, bad, cases))
 
-    # Boundary blocks: first row of block (0, t) is a^t * a^j, and mirrored.
-    cases = 0
-    bad = None
+    cases, bad = 0, None
     for k in range(1, k_max + 1):
         w = p ** k
-        for t in range(p):
-            n = pow(a, t, p)
-            expected = (n * ent[0, :w]) % p
-            mask = ent[0, t * w:(t + 1) * w] == expected
-            cases += w
-            if bad is None and not mask.all():
-                bad = ("row", k, t, _first_bad(mask))
-        for s in range(p):
-            n = pow(c, s, p)
-            expected = (n * ent[:w, 0]) % p
-            mask = ent[s * w:(s + 1) * w, 0] == expected
-            cases += w
-            if bad is None and not mask.all():
-                bad = ("column", k, s, _first_bad(mask))
+        for name, m, co in (rows, columns):
+            for t in range(p):
+                expected = (pow(co.a, t, p) * m[0, :w]) % p
+                mask = m[0, t * w:(t + 1) * w] == expected
+                cases += w
+                if bad is None and not mask.all():
+                    bad = (name, k, t, _first_bad(mask))
     results.append(LemmaResult("boundary_blocks_scale_geometrically",
                                bad is None, bad, cases))
 
-    # Cancellation along column p^k - 1 (and mirrored row).
-    cases = 0
-    bad = None
+    cases, bad = 0, None
     for k in range(1, k_max + 2):
         w = p ** k
-        col = ent[:w, w - 1]
-        mask = (a * col[1:] + b * col[:-1]) % p == 0
-        cases += w - 1
-        if bad is None and not mask.all():
-            bad = ("column", k, _first_bad(mask))
-        row = ent[w - 1, :w]
-        mask = (b * row[:-1] + c * row[1:]) % p == 0
-        cases += w - 1
-        if bad is None and not mask.all():
-            bad = ("row", k, _first_bad(mask))
+        for name, m, co in (columns, rows):
+            row = m[w - 1, :w]
+            mask = (co.b * row[:-1] + co.c * row[1:]) % p == 0
+            cases += w - 1
+            if bad is None and not mask.all():
+                bad = (name, k, _first_bad(mask))
     results.append(LemmaResult("adjacent_pair_cancellation",
                                bad is None, bad, cases))
 
-    # Geometric runs at scaled anchors: hypothesis (the row below cancels
-    # under b, c) and conclusion (the run is n * a^j) are checked separately.
-    hyp_cases = 0
-    hyp_bad = None
-    conc_cases = 0
-    conc_bad = None
+    # Scaled runs: the hypothesis (the row below cancels under b, c) and
+    # the conclusion (the run is n * a^j) are checked separately.
+    hyp_cases = conc_cases = 0
+    hyp_bad = conc_bad = None
     for k in range(1, k_max + 1):
         w = p ** k
-        for s in range(1, p):
-            i0 = s * w
-            below = ent[i0 - 1, :]
-            for t in range(p):
-                x0 = t * w
-                seg = below[x0:x0 + w]
-                mask = (b * seg[:-1] + c * seg[1:]) % p == 0
-                hyp_cases += w - 1
-                if hyp_bad is None and not mask.all():
-                    hyp_bad = ("row", k, s, t, _first_bad(mask))
-                n = int(ent[i0, x0])
-                expected = (n * ent[0, :w]) % p
-                mask = ent[i0, x0:x0 + w] == expected
-                conc_cases += w
-                if conc_bad is None and not mask.all():
-                    conc_bad = ("row", k, s, t, _first_bad(mask))
-        for t in range(1, p):
-            j0 = t * w
-            left = ent[:, j0 - 1]
-            for s in range(p):
-                u0 = s * w
-                seg = left[u0:u0 + w]
-                mask = (a * seg[1:] + b * seg[:-1]) % p == 0
-                hyp_cases += w - 1
-                if hyp_bad is None and not mask.all():
-                    hyp_bad = ("column", k, s, t, _first_bad(mask))
-                n = int(ent[u0, j0])
-                expected = (n * ent[:w, 0]) % p
-                mask = ent[u0:u0 + w, j0] == expected
-                conc_cases += w
-                if conc_bad is None and not mask.all():
-                    conc_bad = ("column", k, s, t, _first_bad(mask))
+        for name, m, co in (rows, columns):
+            for s in range(1, p):
+                below = m[s * w - 1, :]
+                for t in range(p):
+                    # A column witness gives (s, t) in M's frame.
+                    where = (name, k, s, t) if name == "row" else (name, k, t, s)
+                    seg = below[t * w:(t + 1) * w]
+                    mask = (co.b * seg[:-1] + co.c * seg[1:]) % p == 0
+                    hyp_cases += w - 1
+                    if hyp_bad is None and not mask.all():
+                        hyp_bad = (*where, _first_bad(mask))
+                    run = m[s * w, t * w:(t + 1) * w]
+                    mask = run == (int(run[0]) * m[0, :w]) % p
+                    conc_cases += w
+                    if conc_bad is None and not mask.all():
+                        conc_bad = (*where, _first_bad(mask))
     results.append(LemmaResult("scaled_run_hypothesis",
                                hyp_bad is None, hyp_bad, hyp_cases))
     results.append(LemmaResult("scaled_run_conclusion",

@@ -222,6 +222,18 @@ def test_parse_assembly_accepts_bound_after_placements():
     assert formats.parse_assembly(text) == ((2, 1), {(1, 0): (4, "2")})
 
 
+@pytest.mark.parametrize("name,text", [
+    ("big.grid", "grid v1\n2 2 3\n0 1\n2 99999999999999999999\n"),
+    ("big.dump", "assembly v1\nbound 1 1\nplaced 1\n"
+                 "place 0 0 1 99999999999999999999\n"),
+], ids=["grid", "dump"])
+def test_render_rejects_integers_beyond_int64(tmp_path, capsys, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    assert run("render", str(src), "--out", str(tmp_path / "x.ppm")) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_render_palette_gap_is_an_input_error(tmp_path):
     grid = tmp_path / "carpet.grid"
     run("matrix", "--a", "1", "--b", "1", "--c", "1", "--p", "3",

@@ -28,3 +28,11 @@ def test_tileset_census_carpet():
         assert "26 occurring windows" in row
         assert "30 tiles kept" in row
         assert "stable" in row and "still growing" not in row
+
+
+def test_lemma_sweep_small_primes():
+    proc = run_script("lemma_sweep.py", "--primes", "2", "3", "--k-max", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "p=2: 2/2 triples pass at k_max=2",
+        "p=3: 12/12 triples pass at k_max=2"]

@@ -1,53 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractile import (Coefficients, ResidueMatrix, block, check_lemmas,
+import fractile.selfsim
+from fractile import (Coefficients, ResidueMatrix, check_lemmas,
                       check_self_similarity, delannoy_matrix, fractal_set,
-                      is_n_block, pascal_matrix)
+                      pascal_matrix)
 
 from conftest import SMALL_PRIMES
 
 
 def carpet(side):
     return delannoy_matrix(Coefficients(1, 1, 1, 3), side, side)
-
-
-def test_block_view_values():
-    m = carpet(9)
-    b = block(m, 3, 3, 3)
-    assert b.values.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    assert block(m, 0, 0, 1).values.tolist() == [[1]]
-
-
-def test_block_of_pascal():
-    # binomials C(4,2), C(5,3), C(5,2), C(6,3) are all even
-    m = pascal_matrix(2, 4, 4)
-    assert block(m, 2, 2, 2).values.tolist() == [[0, 0], [0, 0]]
-
-
-def test_block_rejects_out_of_window():
-    m = carpet(9)
-    with pytest.raises(ValueError):
-        block(m, 7, 7, 3)
-    with pytest.raises(ValueError):
-        block(m, -1, 0, 2)
-
-
-def test_n_block_relations():
-    m = carpet(9)
-    unit = block(m, 0, 0, 3)
-    assert is_n_block(block(m, 3, 3, 3), unit, 0, 3)       # M[1,1] == 0
-    assert is_n_block(unit, unit, 1, 3)
-    assert is_n_block(block(m, 3, 6, 3), unit, m[1, 2], 3)  # M[1,2] == 2
-    assert not is_n_block(block(m, 3, 6, 3), unit, 1, 3)
-
-
-def test_n_block_size_mismatch():
-    m = carpet(9)
-    with pytest.raises(ValueError):
-        is_n_block(block(m, 0, 0, 3), block(m, 0, 0, 1), 1, 3)
 
 
 def test_carpet_is_self_similar_with_derived_k():
@@ -198,3 +165,49 @@ def test_fractal_set_scales_geometrically():
                     assert square == set()
                 else:
                     assert square == origin
+
+
+# Every cell of these windows is raised by 1 mod p in turn; the reports of
+# all 1,610 corrupted matrices are pinned by one digest.
+LEMMA_PIN_CASES = [((1, 1, 1, 2), 3), ((1, 1, 1, 3), 2), ((1, 2, 2, 5), 1)]
+LEMMA_PIN_DIGEST = (
+    "3005f556dab9cbb93d9b48821c9ba34699e41df127f527043cf5902136bfa820")
+LEMMA_NAMES = ("corner_entries_are_one", "boundary_blocks_scale_geometrically",
+               "adjacent_pair_cancellation", "scaled_run_hypothesis",
+               "scaled_run_conclusion")
+
+
+def test_lemma_reports_under_single_cell_corruption_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    sides_failed = {(name, side): 0 for name in LEMMA_NAMES
+                    for side in ("row", "column")}
+    for (a, b, c, p), k in LEMMA_PIN_CASES:
+        coeffs = Coefficients(a, b, c, p)
+        side = p ** (k + 1)
+        clean = delannoy_matrix(coeffs, side, side).entries
+        for x in range(side):
+            for y in range(side):
+                ent = clean.copy()
+                ent[x, y] = (ent[x, y] + 1) % p
+                monkeypatch.setattr(fractile.selfsim, "delannoy_matrix",
+                                    lambda *_, e=ent: ResidueMatrix(p, e))
+                report = check_lemmas(coeffs, k)
+                digest.update((f"{a} {b} {c} {p} {k} {x} {y}\n"
+                               + "\n".join(report.to_lines())
+                               + "\n").encode())
+                for r in report.results:
+                    if not r.passed:
+                        sides_failed[r.name, r.counterexample[0]] += 1
+    assert digest.hexdigest() == LEMMA_PIN_DIGEST
+    assert all(sides_failed.values()), sides_failed
+
+
+@pytest.mark.parametrize("coeffs, witness", [
+    ((0, 1, 1, 3), ("row", 1, 0)),
+    ((1, 1, 0, 3), ("column", 1, 0)),
+])
+def test_corner_lemma_fails_on_the_side_with_a_zero_weight(coeffs, witness):
+    report = check_lemmas(Coefficients(*coeffs), 2)
+    corner = report.results[0]
+    assert corner.name == "corner_entries_are_one"
+    assert not corner.passed and corner.counterexample == witness
