@@ -16,7 +16,7 @@ from fractile.formats import RenderSpec, default_palette, render_cells
 
 
 def save(path: Path, values, modulus: int, cell_size: int) -> None:
-    spec = RenderSpec(default_palette(modulus), cell_size=cell_size)
+    spec = RenderSpec(default_palette(values, modulus), cell_size=cell_size)
     path.write_bytes(render_cells(values, spec))
     print(f"wrote {path}")
 

@@ -83,7 +83,7 @@ def cmd_simulate(args) -> int:
         grid = formats.assembly_value_grid(
             {pos: (t.id, t.label) for pos, t in assembly.placements.items()},
             bound)
-        spec = _render_spec(args, values=grid[grid >= 0])
+        spec = _render_spec(args, grid, _label_modulus(grid))
         Path(args.image).write_bytes(formats.render_cells(grid, spec))
     if len(assembly) < bound[0] * bound[1]:
         print(f"assembly stalled at {len(assembly)} of "
@@ -92,14 +92,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _render_spec(args, values) -> formats.RenderSpec:
+def _render_spec(args, values, modulus: int) -> formats.RenderSpec:
     if args.palette is not None:
         palette = formats.parse_palette(args.palette)
     else:
-        top = int(max(values)) + 1 if len(values) else 1
-        palette = formats.default_palette(top, not args.zero_color)
+        palette = formats.default_palette(values, modulus, not args.zero_color)
     return formats.RenderSpec(palette=palette, cell_size=args.cell_size,
                               zero_as_background=not args.zero_color)
+
+
+def _label_modulus(grid) -> int:
+    """Palette modulus for assembly labels: one past the largest label."""
+    return int(grid.max(initial=0)) + 1
 
 
 def cmd_render(args) -> int:
@@ -108,15 +112,11 @@ def cmd_render(args) -> int:
     if header == formats.GRID_HEADER:
         m = formats.parse_grid(text)
         values = m.entries
-        if args.palette is None:
-            palette = formats.default_palette(m.modulus, not args.zero_color)
-            spec = formats.RenderSpec(palette, args.cell_size, not args.zero_color)
-        else:
-            spec = _render_spec(args, values=values.ravel())
+        spec = _render_spec(args, values, m.modulus)
     elif header == formats.ASSEMBLY_HEADER:
         bound, placements = formats.parse_assembly(text)
         values = formats.assembly_value_grid(placements, bound)
-        spec = _render_spec(args, values=values[values >= 0])
+        spec = _render_spec(args, values, _label_modulus(values))
     else:
         raise formats.FormatError(
             f"source must start with '{formats.GRID_HEADER}' or "

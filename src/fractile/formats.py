@@ -77,7 +77,10 @@ def parse_grid(text: str) -> ResidueMatrix:
         entries = np.array(data, dtype=np.int64)
     except OverflowError as exc:
         raise FormatError("grid entries must fit in int64") from exc
-    return ResidueMatrix(modulus, entries)
+    try:
+        return ResidueMatrix(modulus, entries)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def write_tileset(system: TileSystem) -> str:
@@ -204,23 +207,28 @@ class RenderSpec:
                 raise ValueError(f"bad RGB triple for residue {value}: {rgb}")
 
 
-def default_palette(modulus: int, zero_as_background: bool = True) -> dict[int, RGB]:
-    """Deterministic palette covering [0, modulus).
+def default_palette(values, modulus: int,
+                    zero_as_background: bool = True) -> dict[int, RGB]:
+    """Deterministic palette for the residues of `values` in [0, modulus).
 
-    Residue 0 is white when treated as background, otherwise it joins the
-    hue wheel with the nonzero residues.
+    A colour depends only on the residue and the modulus, so palettes
+    built from different value sets agree where they overlap.  Residue 0
+    is white when treated as background, otherwise it joins the hue wheel
+    with the nonzero residues.
     """
     palette: dict[int, RGB] = {}
     start = 1 if zero_as_background else 0
-    if zero_as_background:
-        palette[0] = (255, 255, 255)
     count = modulus - start
-    for i, value in enumerate(range(start, modulus)):
-        if count == 1:
-            palette[value] = (0, 0, 0)
+    for value in np.unique(values).tolist():
+        if not 0 <= value < modulus:
             continue
-        r, g, b = colorsys.hsv_to_rgb(i / count, 0.85, 0.85)
-        palette[value] = (int(r * 255), int(g * 255), int(b * 255))
+        if value < start:
+            palette[value] = (255, 255, 255)
+        elif count == 1:
+            palette[value] = (0, 0, 0)
+        else:
+            r, g, b = colorsys.hsv_to_rgb((value - start) / count, 0.85, 0.85)
+            palette[value] = (int(r * 255), int(g * 255), int(b * 255))
     return palette
 
 
@@ -248,21 +256,21 @@ def render_cells(values: np.ndarray, spec: RenderSpec) -> bytes:
     Matrix row 0 becomes the bottom row of the image.  Cells holding -1
     (unplaced positions in a partial assembly) render as white.
     """
-    values = np.asarray(values, dtype=np.int64)
-    present = {int(v) for v in np.unique(values) if v >= 0}
-    missing = present - set(spec.palette)
+    values = np.asarray(values)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    distinct = distinct.tolist()
+    missing = {v for v in distinct if v >= 0} - set(spec.palette)
     if missing:
         raise FormatError(
             f"palette does not cover residues {sorted(missing)}")
-    lut_size = max(present | set(spec.palette), default=0) + 2
-    lut = np.full((lut_size, 3), 255, dtype=np.uint8)
-    for value, rgb in spec.palette.items():
-        lut[value] = rgb
-    pixels = lut[np.flipud(values)]          # row 0 at the bottom
+    colors = np.array([spec.palette.get(v, (255, 255, 255))
+                       for v in distinct], dtype=np.uint8).reshape(-1, 3)
+    # row 0 at the bottom
+    pixels = colors[np.flipud(inverse.reshape(values.shape))]
     pixels = np.repeat(pixels, spec.cell_size, axis=0)
     pixels = np.repeat(pixels, spec.cell_size, axis=1)
     header = f"P6\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
-    return header + pixels.tobytes()
+    return b"".join((header, pixels.data))
 
 
 def assembly_value_grid(placements: dict[Position, tuple[int, str]],

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,8 +46,25 @@ BOTTOM = _Bottom()
 PATH_ORACLE_LIMIT = 22
 
 # Largest accepted modulus: up to it 2*(p-1)**2 fits in int64, so the
-# vectorized recursion is exact.
+# vectorized recursion is exact, and every residue fits in uint32.
 MAX_MODULUS = 2 ** 31 - 1
+
+# Largest window `delannoy_matrix` materializes (16384^2 cells, 256 MB at
+# one byte per cell); larger requests are refused before allocating.
+MAX_CELLS = 2 ** 28
+
+
+def _storage_dtype(modulus: int) -> np.dtype:
+    """Smallest unsigned dtype that holds the modulus itself.
+
+    Since p itself fits, (v + 1) % p on a stored residue cannot wrap.
+    Products of stored residues can: arithmetic on them is done in a
+    wider dtype.
+    """
+    for dtype in (np.uint8, np.uint16):
+        if modulus <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.uint32)  # holds MAX_MODULUS
 
 
 def is_prime(n: int) -> bool:
@@ -100,6 +116,9 @@ class ResidueMatrix:
     `entries` is a dense row-major array; index [x, y] means row x
     (increasing northward) and column y (increasing eastward).  Negative
     logical indices yield BOTTOM through the accessor, never a residue.
+    The entries are stored read-only in the smallest unsigned dtype that
+    holds the modulus; an input already contiguous in that dtype is kept,
+    not copied.
     """
 
     modulus: int
@@ -108,11 +127,16 @@ class ResidueMatrix:
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
-        ent = np.ascontiguousarray(self.entries, dtype=np.int64)
+        if self.modulus > MAX_MODULUS:
+            raise ValueError(f"modulus {self.modulus} exceeds MAX_MODULUS = "
+                             f"{MAX_MODULUS}")
+        ent = np.asarray(self.entries)
         if ent.ndim != 2 or ent.shape[0] < 1 or ent.shape[1] < 1:
             raise ValueError("entries must be a nonempty 2-d array")
-        if ent.min() < 0 or ent.max() >= self.modulus:
+        # Range-checked in the input's own dtype, before the cast can wrap.
+        if ent.min() < 0 or int(ent.max()) >= self.modulus:
             raise ValueError("entries must lie in [0, modulus)")
+        ent = np.ascontiguousarray(ent, dtype=_storage_dtype(self.modulus))
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
@@ -169,19 +193,27 @@ def _next_row(prev: np.ndarray, first: int, coeffs: Coefficients,
 
 
 def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMatrix:
-    """Materialize the corner recursion on a height x width window."""
+    """Materialize the corner recursion on a height x width window.
+
+    Each row is computed in int64 from the previous row and then stored
+    in the compact dtype; no int64 array the size of the window exists.
+    """
     if height < 1 or width < 1:
         raise ValueError("window dimensions must be positive")
+    if height * width > MAX_CELLS:
+        raise ValueError(f"window {height}x{width} exceeds MAX_CELLS = "
+                         f"{MAX_CELLS} cells")
     a, c, p = coeffs.a, coeffs.c, coeffs.p
-    m = np.zeros((height, width), dtype=np.int64)
-    m[0, :] = _powers(a, width, p)
-    m[:, 0] = _powers(c, height, p)
+    m = np.empty((height, width), dtype=_storage_dtype(p))
+    apow = _powers(a, width, p)
+    cpow = _powers(c, height, p)
     ainvpow = None
     if a != 0 and height > 1 and width > 1:
         ainvpow = _powers(pow(a, p - 2, p), width, p)
-    apow = m[0, :]
+    m[0, :] = row = apow
     for i in range(1, height):
-        m[i, :] = _next_row(m[i - 1, :], int(m[i, 0]), coeffs, apow, ainvpow)
+        row = _next_row(row, int(cpow[i]), coeffs, apow, ainvpow)
+        m[i, :] = row
     return ResidueMatrix(p, m)
 
 
@@ -190,7 +222,6 @@ def pascal_matrix(p: int, height: int, width: int) -> ResidueMatrix:
     return delannoy_matrix(Coefficients(1, 0, 1, p), height, width)
 
 
-@lru_cache(maxsize=None)
 def lucas_binomial(n: int, k: int, p: int) -> int:
     """C(n, k) mod p via the product of base-p digit binomials."""
     if k < 0 or k > n:

@@ -63,6 +63,8 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
         raise ValueError("matrix modulus does not match the requested base")
     side = matrix.height
     ent = matrix.entries
+    # Twice the storage width holds any product of two residues.
+    wide = np.dtype(f"u{2 * ent.itemsize}")
     max_k = -1
     while p ** (max_k + 2) <= side:
         max_k += 1
@@ -72,7 +74,8 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
         for s in range(p):
             for t in range(p):
                 actual = ent[s * w:(s + 1) * w, t * w:(t + 1) * w]
-                expected = (int(ent[s, t]) * unit) % p
+                expected = np.multiply(unit, int(ent[s, t]), dtype=wide)
+                expected %= p
                 if not np.array_equal(actual, expected):
                     bad = np.argwhere(actual != expected)
                     i, j = (int(v) for v in bad[0])
@@ -137,7 +140,8 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     symmetric under transposition with a and c swapped, so the column
     identities are checked as the row identities of the transpose under
     `coeffs.transposed()`.  Witnesses name their side, "row" or "column",
-    and give block indices (s, t) in the matrix's own frame.
+    and give block indices (s, t) in the matrix's own frame.  Only the
+    row slices that enter products are upcast to int64, never the window.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -164,8 +168,9 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     for k in range(1, k_max + 1):
         w = p ** k
         for name, m, co in (rows, columns):
+            first = m[0, :w].astype(np.int64)
             for t in range(p):
-                expected = (pow(co.a, t, p) * m[0, :w]) % p
+                expected = (pow(co.a, t, p) * first) % p
                 mask = m[0, t * w:(t + 1) * w] == expected
                 cases += w
                 if bad is None and not mask.all():
@@ -177,7 +182,7 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     for k in range(1, k_max + 2):
         w = p ** k
         for name, m, co in (columns, rows):
-            row = m[w - 1, :w]
+            row = m[w - 1, :w].astype(np.int64)
             mask = (co.b * row[:-1] + co.c * row[1:]) % p == 0
             cases += w - 1
             if bad is None and not mask.all():
@@ -192,8 +197,9 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     for k in range(1, k_max + 1):
         w = p ** k
         for name, m, co in (rows, columns):
+            first = m[0, :w].astype(np.int64)
             for s in range(1, p):
-                below = m[s * w - 1, :]
+                below = m[s * w - 1, :].astype(np.int64)
                 for t in range(p):
                     # A column witness gives (s, t) in M's frame.
                     where = (name, k, s, t) if name == "row" else (name, k, t, s)
@@ -203,7 +209,7 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
                     if hyp_bad is None and not mask.all():
                         hyp_bad = (*where, _first_bad(mask))
                     run = m[s * w, t * w:(t + 1) * w]
-                    mask = run == (int(run[0]) * m[0, :w]) % p
+                    mask = run == (int(run[0]) * first) % p
                     conc_cases += w
                     if conc_bad is None and not mask.all():
                         conc_bad = (*where, _first_bad(mask))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,16 @@ def test_matrix_rejects_modulus_over_the_limit(capsys, p):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "2147483647" in captured.err
+
+
+@pytest.mark.parametrize("command", ["matrix", "selfsim"])
+def test_window_over_the_cell_limit_exits_2(capsys, command):
+    assert run(command, "--a", "1", "--b", "1", "--c", "1", "--p", "3",
+               "--size", "100000000") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "MAX_CELLS" in captured.err
 
 
 def test_matrix_pascal_grid(capsys):
@@ -232,6 +244,51 @@ def test_render_rejects_integers_beyond_int64(tmp_path, capsys, name, text):
     src.write_text(text)
     assert run("render", str(src), "--out", str(tmp_path / "x.ppm")) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_render_rejects_grid_modulus_over_the_limit(tmp_path, capsys):
+    src = tmp_path / "big.grid"
+    src.write_text("grid v1\n1 1 2147483659\n5\n")
+    assert run("render", str(src), "--out", str(tmp_path / "x.ppm")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "MAX_MODULUS" in err
+
+
+# Every residue of p = 2, 3, 5, 7 rendered with the default palette, with
+# and without zero as background.
+DEFAULT_PALETTE_DIGEST = (
+    "c0257b8bb809bca8991e2f4cd1db685fda4ac158b480a95fc9e1bb3dfff354ca")
+
+
+def test_default_palette_renders_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    src, img = tmp_path / "g.grid", tmp_path / "x.ppm"
+    for p in (2, 3, 5, 7):
+        src.write_text(f"grid v1\n1 {p} {p}\n"
+                       + " ".join(map(str, range(p))) + "\n")
+        for extra in ([], ["--zero-color"]):
+            assert run("render", str(src), "--out", str(img),
+                       "--cell-size", "1", *extra) == 0
+            digest.update(img.read_bytes())
+    assert digest.hexdigest() == DEFAULT_PALETTE_DIGEST
+
+
+def test_default_palette_covers_the_residues_present():
+    assert list(formats.default_palette([1999999], 2000003)) == [1999999]
+    full = formats.default_palette(range(7), 7)
+    assert formats.default_palette([3, 5, 9], 7) == {3: full[3], 5: full[5]}
+
+
+@pytest.mark.parametrize("name,text", [
+    ("big.grid", "grid v1\n1 1 2000003\n1999999\n"),
+    ("big.dump", "assembly v1\nbound 1 1\nplaced 1\nplace 0 0 1 2000000\n"),
+], ids=["grid", "dump"])
+def test_render_large_residue_single_cell(tmp_path, name, text):
+    src, img = tmp_path / name, tmp_path / "x.ppm"
+    src.write_text(text)
+    assert run("render", str(src), "--out", str(img), "--cell-size", "1") == 0
+    arr = read_ppm(img.read_bytes())
+    assert arr.shape == (1, 1, 3) and not (arr == 255).all()
 
 
 def test_render_palette_gap_is_an_input_error(tmp_path):

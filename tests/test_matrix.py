@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from fractile import (BOTTOM, Coefficients, ResidueMatrix, closed_form,
                       delannoy_matrix, is_prime, lucas_binomial,
                       pascal_matrix, path_cost_oracle)
-from fractile.matrix import MAX_MODULUS, PATH_ORACLE_LIMIT
+import fractile.matrix
+from fractile.matrix import MAX_CELLS, MAX_MODULUS, PATH_ORACLE_LIMIT
 
 from conftest import SMALL_PRIMES, reference_corner_matrix
 
@@ -157,6 +158,41 @@ def test_largest_modulus_is_exact():
                                   for i in range(6)]
 
 
+@pytest.mark.parametrize("p, dtype", [
+    (251, np.uint8), (257, np.uint16), (65521, np.uint16),
+    (65537, np.uint32), (MAX_MODULUS, np.uint32)])
+def test_storage_is_the_smallest_unsigned_dtype_holding_p(p, dtype):
+    coeffs = Coefficients(p - 2, p - 3, p - 5, p)
+    m = delannoy_matrix(coeffs, 6, 6)
+    assert m.entries.dtype == dtype
+    assert m.entries.tolist() == [[closed_form(coeffs, i, j) for j in range(6)]
+                                  for i in range(6)]
+
+
+def test_residue_matrix_keeps_an_array_already_in_storage_dtype():
+    ent = np.array([[0, 1], [2, 0]], dtype=np.uint8)
+    assert ResidueMatrix(3, ent).entries is ent
+    # the modulus itself must fit: 256 is stored in uint16
+    assert ResidueMatrix(256, ent).entries.dtype == np.uint16
+
+
+def test_residue_matrix_rejects_modulus_over_the_limit():
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        ResidueMatrix(MAX_MODULUS + 1, np.array([[0]]))
+
+
+def test_window_over_the_cell_limit_is_refused_before_allocating(monkeypatch):
+    coeffs = Coefficients(1, 1, 1, 3)
+    # 10^16 cells: without the check numpy raises MemoryError, not ValueError
+    with pytest.raises(ValueError, match="MAX_CELLS"):
+        delannoy_matrix(coeffs, 10 ** 8, 10 ** 8)
+    assert 6561 ** 2 <= MAX_CELLS
+    monkeypatch.setattr(fractile.matrix, "MAX_CELLS", 12)
+    assert delannoy_matrix(coeffs, 3, 4).entries.shape == (3, 4)
+    with pytest.raises(ValueError, match="MAX_CELLS"):
+        delannoy_matrix(coeffs, 13, 1)
+
+
 def test_modulus_over_the_limit_rejected():
     with pytest.raises(ValueError, match="MAX_MODULUS"):
         Coefficients(1, 1, 1, 2147483659)
@@ -197,6 +233,12 @@ def test_residue_matrix_validates_range():
         ResidueMatrix(3, np.array([[0, 3]]))
     with pytest.raises(ValueError):
         ResidueMatrix(3, np.array([[-1, 0]]))
+    with pytest.raises(ValueError):
+        ResidueMatrix(3, [[-1, 0]])
+    with pytest.raises(ValueError):
+        ResidueMatrix(3, np.array([[0, 3]], dtype=np.uint8))
+    with pytest.raises(ValueError):
+        ResidueMatrix(3, np.array([[0, 258]]))  # 2 after a uint8 cast
 
 
 def test_window_dimensions_must_be_positive():

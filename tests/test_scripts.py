@@ -36,3 +36,14 @@ def test_lemma_sweep_small_primes():
     assert proc.stdout.splitlines() == [
         "p=2: 2/2 triples pass at k_max=2",
         "p=3: 12/12 triples pass at k_max=2"]
+
+
+def test_render_figures_matrix_carpet_equals_assembled_carpet(tmp_path):
+    proc = run_script("render_figures.py", "--outdir", str(tmp_path),
+                      "--cell-size", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "carpet-27.ppm", "carpet-81.ppm", "carpet-9.ppm",
+        "carpet-sim-27.ppm", "five-color-125.ppm"]
+    assert ((tmp_path / "carpet-27.ppm").read_bytes()
+            == (tmp_path / "carpet-sim-27.ppm").read_bytes())

@@ -32,6 +32,30 @@ def test_figure_instance_is_self_similar():
     assert check_self_similarity(m, 5).holds
 
 
+# Products of residues exceed the uint8 storage for these moduli; each case
+# wraps silently if the check multiplies in the storage dtype.
+@pytest.mark.parametrize("coeffs", [(1, 1, 1, 17), (2, 3, 5, 23),
+                                    (1, 2, 2, 61)])
+def test_self_similarity_holds_where_products_exceed_storage(coeffs):
+    p = coeffs[3]
+    m = delannoy_matrix(Coefficients(*coeffs), p * p, p * p)
+    assert m.entries.dtype == np.uint8
+    report = check_self_similarity(m, p)
+    assert report.holds and report.max_k == 1
+
+
+@pytest.mark.parametrize("coeffs", [(2, 3, 5, 61), (60, 59, 58, 61)])
+def test_lemmas_hold_where_products_exceed_storage(coeffs):
+    report = check_lemmas(Coefficients(*coeffs), 1)
+    assert report.all_passed, report.to_lines()
+
+
+def test_corrupting_the_largest_residue_wraps_to_zero():
+    m = delannoy_matrix(Coefficients(250, 0, 1, 251), 2, 2)
+    assert m.entries.dtype == np.uint8 and m[0, 1] == 250
+    assert _corrupt(m, 0, 1)[0, 1] == 0
+
+
 def _corrupt(matrix, x, y):
     ent = np.array(matrix.entries)
     ent[x, y] = (ent[x, y] + 1) % matrix.modulus
