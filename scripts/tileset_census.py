@@ -6,12 +6,29 @@ when the population stabilizes, and the resulting tile counts before and
 after pruning.  The mod-3 carpet tops out at 26 occurring windows, which
 is why its pruned system keeps the four never-occurring bulk tiles to
 reach the classic count of 30.
+
+The kept count is printed next to the predicted one, p^3 + 1 + |<a>| +
+|<c>|: every fully defined window, the seed, and one first-row window
+per power of a and one first-column window per power of c.
 """
 
 import argparse
 
 from fractile import (Coefficients, build_full_system, delannoy_rule,
                       horizon_is_stable, prune_reachable, scan_windows)
+
+
+def powers(x: int, p: int) -> set[int]:
+    """{x^j mod p : j >= 0}."""
+    seen, v = set(), 1
+    while v not in seen:
+        seen.add(v)
+        v = v * x % p
+    return seen
+
+
+def predicted_tiles(a: int, c: int, p: int) -> int:
+    return p ** 3 + 1 + len(powers(a, p)) + len(powers(c, p))
 
 
 def main() -> None:
@@ -27,6 +44,7 @@ def main() -> None:
     for a, b, c, p in coeff_sets:
         rule = delannoy_rule(Coefficients(a, b, c, p))
         full = build_full_system(rule)
+        predicted = predicted_tiles(a, c, p)
         print(f"\n{rule.name}: {len(full.tiles)} tiles before pruning")
         for side in args.horizons:
             _, interior, boundary = scan_windows(rule, side, side)
@@ -34,7 +52,8 @@ def main() -> None:
             pruned = prune_reachable(full, rule, (side, side))
             stable = horizon_is_stable(rule, (side, side))
             print(f"  horizon {side:>4}: {count:>3} occurring windows, "
-                  f"{len(pruned.tiles):>3} tiles kept, "
+                  f"{len(pruned.tiles):>3} tiles kept "
+                  f"(predicted {predicted}), "
                   f"boundary {'stable' if stable else 'still growing'}")
 
 

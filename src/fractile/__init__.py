@@ -8,10 +8,10 @@ from .selfsim import (LemmaReport, SelfSimReport, check_lemmas,
 from .tam import (Assembly, Direction, DirectednessResult, TileSystem,
                   TileType, assemble_bounded, can_attach, frontier,
                   is_directed_empirically, replay_is_valid)
-from .tilegen import (DEFAULT_PRUNE_HORIZON, LocalRule, WindowContent,
-                      build_full_system, build_tile, carpet_system,
-                      delannoy_rule, horizon_is_stable, prune_reachable,
-                      rule_matrix, scan_windows, window_at)
+from .tilegen import (LocalRule, WindowContent, build_full_system,
+                      build_tile, carpet_system, delannoy_rule,
+                      horizon_is_stable, prune_reachable, rule_matrix,
+                      scan_windows, window_at)
 from .conformance import (ConformanceReport, InductionReport,
                           check_induction_clauses, verify_self_assembly)
 
@@ -26,10 +26,9 @@ __all__ = [
     "Assembly", "Direction", "DirectednessResult", "TileSystem", "TileType",
     "assemble_bounded", "can_attach", "frontier", "is_directed_empirically",
     "replay_is_valid",
-    "DEFAULT_PRUNE_HORIZON", "LocalRule", "WindowContent",
-    "build_full_system", "build_tile", "carpet_system", "delannoy_rule",
-    "horizon_is_stable", "prune_reachable", "rule_matrix", "scan_windows",
-    "window_at",
+    "LocalRule", "WindowContent", "build_full_system", "build_tile",
+    "carpet_system", "delannoy_rule", "horizon_is_stable", "prune_reachable",
+    "rule_matrix", "scan_windows", "window_at",
     "ConformanceReport", "InductionReport", "check_induction_clauses",
     "verify_self_assembly",
     "__version__",

@@ -62,11 +62,11 @@ def cmd_tileset(args) -> int:
         rule = _rule_from_args(args)
         system = tilegen.build_full_system(rule, budget=args.budget)
         if not args.no_prune:
-            horizon = (args.prune, args.prune)
-            system = tilegen.prune_reachable(system, rule, horizon)
-            if not tilegen.horizon_is_stable(rule, horizon):
-                print(f"warning: windows are still appearing at horizon "
-                      f"{args.prune}; consider a larger --prune", file=sys.stderr)
+            # Windows mentioning ⊥ hold row 0 (a^j) and column 0 (c^i); a
+            # unit's powers all occur among its first p - 1, and a = 0 gives
+            # 1, 0, 0, ..., so p + 1 cells along each axis show them all.
+            side = args.p + 1
+            system = tilegen.prune_reachable(system, rule, (side, side))
     _write_text(args.out, formats.write_tileset(system))
     return 0
 
@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coeff_flags(p, required=False)
     p.add_argument("--carpet", action="store_true",
                    help="emit the explicit 30-tile carpet system")
-    p.add_argument("--prune", type=int, default=tilegen.DEFAULT_PRUNE_HORIZON,
-                   help="square pruning horizon (default %(default)s)")
     p.add_argument("--no-prune", action="store_true",
                    help="keep every tile of the full construction")
     p.add_argument("--budget", type=int, default=10 ** 6,

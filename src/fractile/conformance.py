@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .matrix import check_cells
 from .tam import (Assembly, Direction, Position, TileType, assemble_bounded,
                   first_divergence)
 from .tilegen import (LocalRule, WindowContent, build_full_system, build_tile,
@@ -101,6 +102,7 @@ def verify_self_assembly(rule: LocalRule, bound: tuple[int, int],
         raise ValueError("at least one trial is required")
     if bound[0] < rule.n or bound[1] < rule.n:
         raise ValueError("bound must be at least n x n")
+    check_cells(*bound, "bound")
     if system is None:
         system = prune_reachable(build_full_system(rule), rule, bound)
     expected = rule_matrix(rule, bound[0], bound[1])

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import ResidueMatrix
+from .matrix import ResidueMatrix, check_cells
 from .tam import Assembly, Direction, Position, TileSystem, TileType
 
 GRID_HEADER = "grid v1"
@@ -51,8 +51,7 @@ class FormatError(ValueError):
 def write_grid(matrix: ResidueMatrix) -> str:
     lines = [GRID_HEADER,
              f"{matrix.height} {matrix.width} {matrix.modulus}"]
-    for row in matrix.entries:
-        lines.append(" ".join(str(int(v)) for v in row))
+    lines.extend(" ".join(map(str, row.tolist())) for row in matrix.entries)
     return "\n".join(lines) + "\n"
 
 
@@ -257,6 +256,8 @@ def render_cells(values: np.ndarray, spec: RenderSpec) -> bytes:
     (unplaced positions in a partial assembly) render as white.
     """
     values = np.asarray(values)
+    check_cells(values.shape[0] * spec.cell_size,
+                values.shape[1] * spec.cell_size, "pixmap")
     distinct, inverse = np.unique(values, return_inverse=True)
     distinct = distinct.tolist()
     missing = {v for v in distinct if v >= 0} - set(spec.palette)
@@ -277,6 +278,7 @@ def assembly_value_grid(placements: dict[Position, tuple[int, str]],
                         bound: tuple[int, int]) -> np.ndarray:
     """Labels of a placement map as integers; unplaced cells become -1."""
     height, width = bound
+    check_cells(height, width, "bound")
     grid = np.full((height, width), -1, dtype=np.int64)
     for (x, y), (_, label) in placements.items():
         if not (0 <= x < height and 0 <= y < width):

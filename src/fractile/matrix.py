@@ -49,9 +49,19 @@ PATH_ORACLE_LIMIT = 22
 # vectorized recursion is exact, and every residue fits in uint32.
 MAX_MODULUS = 2 ** 31 - 1
 
-# Largest window `delannoy_matrix` materializes (16384^2 cells, 256 MB at
-# one byte per cell); larger requests are refused before allocating.
+# Largest window, assembly bound or pixmap (16384^2 cells: 256 MB for a
+# window at one byte per cell); larger ones are refused before allocating.
 MAX_CELLS = 2 ** 28
+
+
+def check_cells(height: int, width: int, what: str) -> None:
+    """Refuse an empty region, or one over MAX_CELLS cells, before
+    anything is allocated."""
+    if height < 1 or width < 1:
+        raise ValueError(f"{what} dimensions must be positive")
+    if height * width > MAX_CELLS:
+        raise ValueError(f"{what} {height}x{width} exceeds MAX_CELLS = "
+                         f"{MAX_CELLS} cells")
 
 
 def _storage_dtype(modulus: int) -> np.dtype:
@@ -198,11 +208,7 @@ def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMat
     Each row is computed in int64 from the previous row and then stored
     in the compact dtype; no int64 array the size of the window exists.
     """
-    if height < 1 or width < 1:
-        raise ValueError("window dimensions must be positive")
-    if height * width > MAX_CELLS:
-        raise ValueError(f"window {height}x{width} exceeds MAX_CELLS = "
-                         f"{MAX_CELLS} cells")
+    check_cells(height, width, "window")
     a, c, p = coeffs.a, coeffs.c, coeffs.p
     m = np.empty((height, width), dtype=_storage_dtype(p))
     apow = _powers(a, width, p)

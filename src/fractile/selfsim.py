@@ -226,7 +226,7 @@ def fractal_set(matrix: ResidueMatrix, keep: Iterable[int]) -> set[tuple[int, in
     keep = set(keep)
     if not keep:
         return set()
-    if not keep <= set(range(matrix.modulus)):
+    if not all(v in range(matrix.modulus) for v in keep):
         raise ValueError("keep must be a subset of [0, modulus)")
     mask = np.isin(matrix.entries, sorted(keep))
     return {(int(x), int(y)) for x, y in np.argwhere(mask)}

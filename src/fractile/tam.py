@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+from .matrix import check_cells
+
 Position = tuple[int, int]
 Glue = tuple[str, int]
 # The glues facing a cell from its W, S, E and N neighbors (None: empty).
@@ -232,8 +234,7 @@ def assemble_bounded(system: TileSystem, bound: tuple[int, int],
     [0, height) x [0, width).
     """
     height, width = bound
-    if height < 1 or width < 1:
-        raise ValueError("bound must be positive in both dimensions")
+    check_cells(height, width, "bound")
     for (x, y) in system.seed:
         if not (0 <= x < height and 0 <= y < width):
             raise ValueError("bound must contain the seed")

@@ -21,13 +21,11 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
 
-from .matrix import BOTTOM, Coefficients
+from .matrix import BOTTOM, Coefficients, check_cells
 from .tam import Direction, TileSystem, TileType
 
-# Default horizon for reachability pruning (3^5).
-DEFAULT_PRUNE_HORIZON = 243
-
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+_GLUE_SEPARATORS = re.compile(r"[(),|]")
 
 
 def symbol_token(symbol) -> str:
@@ -141,8 +139,7 @@ def scan_windows(rule: LocalRule, height: int,
     every other cell (`interior`).  Symbols serialize injectively, so raw
     windows compare exactly as their glues do.
     """
-    if height < 1 or width < 1:
-        raise ValueError("dimensions must be positive")
+    check_cells(height, width, "horizon")
     labels: list[list] = [[None] * width for _ in range(height)]
     interior: set = set()
     boundary: set = set()
@@ -208,36 +205,24 @@ def build_full_system(rule: LocalRule, budget: int = 10 ** 6) -> TileSystem:
     """One tile per window in the rule's domain; temperature 2.
 
     Windows are enumerated lexicographically with ⊥ ordered before every
-    alphabet symbol, which fixes the tile ids.
+    alphabet symbol, which fixes the tile ids and makes the all-⊥ seed
+    window tile 0.
     """
     count = (len(rule.alphabet) + 1) ** (rule.n * rule.n - 1)
     if count > budget:
         raise ValueError(
             f"domain has {count} windows, over the budget of {budget}")
-    tiles = []
-    seed_tile = None
-    for tile_id, window in enumerate(_domain_windows(rule)):
-        tile = build_tile(rule, window, tile_id)
-        tiles.append(tile)
-        if window.west_all_bottom and window.south_all_bottom:
-            seed_tile = tile
-    assert seed_tile is not None
-    return TileSystem(tuple(tiles), {(0, 0): seed_tile}, 2)
+    tiles = tuple(build_tile(rule, window, tile_id)
+                  for tile_id, window in enumerate(_domain_windows(rule)))
+    return TileSystem(tiles, {(0, 0): tiles[0]}, 2)
 
 
 def _window_key(tile: TileType) -> tuple[str, str]:
     return (tile.color(Direction.W), tile.color(Direction.S))
 
 
-def _glue_tokens(glue: str) -> list[str]:
-    tokens = []
-    for row in glue.split("|"):
-        tokens.extend(row.strip("()").split(","))
-    return tokens
-
-
 def _mentions_bottom(key: tuple[str, str]) -> bool:
-    return any(tok == "_" for part in key for tok in _glue_tokens(part))
+    return any("_" in _GLUE_SEPARATORS.split(part) for part in key)
 
 
 def prune_reachable(system: TileSystem, rule: LocalRule,
@@ -249,10 +234,16 @@ def prune_reachable(system: TileSystem, rule: LocalRule,
     requires both the west and south glues to match, which already pins
     the tile to a window of the matrix.  Tiles whose windows mention ⊥
     are kept only if the window occurs in the matrix over the horizon.
-    Kept tiles are renumbered consecutively in their original order.
+    Such windows sit in the first n-1 rows or columns, and each of those
+    strips depends on nothing outside itself, so only the strips are
+    scanned.  Kept tiles are renumbered consecutively in their original
+    order.
     """
-    _, interior, boundary = scan_windows(rule, *horizon)
+    height, width = horizon
+    strips = (scan_windows(rule, min(rule.n - 1, height), width),
+              scan_windows(rule, height, min(rule.n - 1, width)))
     occurring = {(glue_vector(west), glue_rows(south))
+                 for _, interior, boundary in strips
                  for west, south in interior | boundary}
     kept = []
     seed_tile = None

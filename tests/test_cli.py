@@ -3,10 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from fractile import (Coefficients, assemble_bounded, carpet_system,
-                      delannoy_matrix)
+import fractile.matrix
+from fractile import (Coefficients, ResidueMatrix, assemble_bounded,
+                      carpet_system, delannoy_matrix)
 from fractile.cli import main
 from fractile import formats
+from fractile.matrix import MAX_MODULUS
+
+CARPET_FLAGS = ("--a", "1", "--b", "1", "--c", "1", "--p", "3")
 
 
 def run(*argv):
@@ -19,6 +23,17 @@ def test_matrix_grid_output(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "grid v1"
     assert out[2:] == ["1 1 1", "1 0 2", "1 2 1"]
+
+
+@pytest.mark.parametrize("modulus", [3, 65521, MAX_MODULUS])
+def test_write_grid_equals_per_cell_text(modulus):
+    ent = np.random.default_rng(modulus).integers(0, modulus, size=(5, 7))
+    m = ResidueMatrix(modulus, ent)
+    want = ["grid v1", f"5 7 {modulus}"]
+    want += [" ".join(str(int(v)) for v in row) for row in ent]
+    text = formats.write_grid(m)
+    assert text == "\n".join(want) + "\n"
+    assert np.array_equal(formats.parse_grid(text).entries, ent)
 
 
 def test_matrix_rejects_composite_modulus(capsys):
@@ -90,7 +105,7 @@ def test_tileset_pruned_equals_carpet_file(tmp_path):
     b = tmp_path / "pruned.tiles"
     assert run("tileset", "--carpet", "--out", str(a)) == 0
     assert run("tileset", "--a", "1", "--b", "1", "--c", "1", "--p", "3",
-               "--prune", "243", "--out", str(b)) == 0
+               "--out", str(b)) == 0
     assert a.read_text() == b.read_text()
 
 
@@ -105,6 +120,27 @@ def test_tileset_no_prune_count(tmp_path):
 def test_tileset_budget_error(tmp_path):
     assert run("tileset", "--a", "1", "--b", "1", "--c", "1", "--p", "3",
                "--no-prune", "--budget", "10") == 2
+
+
+def test_tileset_prune_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run("tileset", *CARPET_FLAGS, "--prune", "243")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("coeffs,count", [
+    (("1", "1", "1", "3"), 30), (("1", "2", "2", "5"), 131),
+    (("0", "3", "3", "7"), 352)])
+def test_tileset_horizon_comes_from_p(tmp_path, capsys, coeffs, count):
+    # 352 = 7^3 + 1 + 2 + 6: a = 0 has the powers {1, 0}, and c = 3
+    # generates all six units mod 7
+    a, b, c, p = coeffs
+    out = tmp_path / "t.tiles"
+    assert run("tileset", "--a", a, "--b", b, "--c", c, "--p", p,
+               "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert sum(1 for ln in lines if ln.startswith("tile ")) == count
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_round_trip_and_determinism(tmp_path):
@@ -227,6 +263,67 @@ def test_parse_assembly_rejects_bad_placements(tmp_path, capsys, records,
     dump.write_text(text)
     assert run("render", str(dump), "--out", str(tmp_path / "a.ppm")) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name,text,cell_size", [
+    ("big.dump", "assembly v1\nbound 1000000 1000000\nplaced 0\n", "1"),
+    ("small.grid", "grid v1\n3 3 3\n1 1 1\n1 0 2\n1 2 1\n", "1000000"),
+], ids=["dump-bound", "pixmap"])
+def test_render_over_the_cell_limit_exits_2(tmp_path, capsys, name, text,
+                                            cell_size):
+    # without the check numpy raises MemoryError on either; neither
+    # allocation is attempted
+    src = tmp_path / name
+    src.write_text(text)
+    assert run("render", str(src), "--out", str(tmp_path / "x.ppm"),
+               "--cell-size", cell_size) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "MAX_CELLS" in err
+    assert not (tmp_path / "x.ppm").exists()
+
+
+def test_render_rejects_an_empty_dump_bound(tmp_path, capsys):
+    # a zero bound used to give a pixmap of zero height and exit 0
+    src = tmp_path / "empty.dump"
+    src.write_text("assembly v1\nbound 0 5\nplaced 0\n")
+    assert run("render", str(src), "--out", str(tmp_path / "x.ppm")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "positive" in err
+
+
+def test_render_at_the_cell_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(fractile.matrix, "MAX_CELLS", 36)
+    grid = tmp_path / "g.grid"
+    grid.write_text("grid v1\n3 3 3\n1 1 1\n1 0 2\n1 2 1\n")
+    dump = tmp_path / "d.dump"
+    out = str(tmp_path / "x.ppm")
+    assert run("render", str(grid), "--out", out, "--cell-size", "2") == 0
+    assert run("render", str(grid), "--out", out, "--cell-size", "3") == 2
+    dump.write_text("assembly v1\nbound 6 6\nplaced 0\n")
+    assert run("render", str(dump), "--out", out, "--cell-size", "1") == 0
+    dump.write_text("assembly v1\nbound 6 7\nplaced 0\n")
+    with pytest.raises(ValueError, match="MAX_CELLS"):
+        formats.assembly_value_grid({}, (6, 7))
+    assert run("render", str(dump), "--out", out, "--cell-size", "1") == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_bound_over_the_cell_limit_exits_2(tmp_path, capsys, monkeypatch,
+                                           command):
+    # the limit is lowered, so a missing check could not allocate much
+    tiles = tmp_path / "carpet.tiles"
+    run("tileset", "--carpet", "--out", str(tiles))
+    argv = {"simulate": ["simulate", "--tileset", str(tiles),
+                         "--out", str(tmp_path / "a.dump")],
+            "verify": ["verify", *CARPET_FLAGS, "--trials", "1"]}[command]
+    monkeypatch.setattr(fractile.matrix, "MAX_CELLS", 16)
+    assert run(*argv, "--bound", "4") == 0
+    capsys.readouterr()
+    assert run(*argv, "--bound", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "MAX_CELLS" in captured.err
 
 
 def test_parse_assembly_accepts_bound_after_placements():

@@ -30,6 +30,16 @@ def test_tileset_census_carpet():
         assert "stable" in row and "still growing" not in row
 
 
+def test_tileset_census_prints_the_predicted_count():
+    proc = run_script("tileset_census.py", "--coeffs", "1", "1", "1", "3",
+                      "--coeffs", "1", "2", "2", "5", "--horizons", "27")
+    assert proc.returncode == 0, proc.stderr
+    rows = [ln for ln in proc.stdout.splitlines() if "horizon" in ln]
+    assert len(rows) == 2
+    assert "30 tiles kept (predicted 30)" in rows[0]
+    assert "131 tiles kept (predicted 131)" in rows[1]
+
+
 def test_lemma_sweep_small_primes():
     proc = run_script("lemma_sweep.py", "--primes", "2", "3", "--k-max", "2")
     assert proc.returncode == 0, proc.stderr

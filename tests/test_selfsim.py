@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,21 @@ def test_fractal_set_pascal_triangle_order_2():
 def test_fractal_set_validates_keep():
     with pytest.raises(ValueError):
         fractal_set(carpet(3), {3})
+
+
+def test_fractal_set_validates_keep_without_a_modulus_sized_set():
+    m = ResidueMatrix(1_000_003, np.array([[5]]))
+    tracemalloc.start()
+    try:
+        assert fractal_set(m, {5, 1_000_002}) == {(0, 0)}
+        assert fractal_set(m, [5.0, True]) == {(0, 0)}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a set of every residue takes tens of MB
+    for bad in ([1_000_003], [-1], [2.5], ["5"]):
+        with pytest.raises(ValueError):
+            fractal_set(m, bad)
 
 
 def test_fractal_set_scales_geometrically():

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ def test_prune_tiny_horizon_keeps_seed_and_bulk(carpet_rule):
     assert pruned.seed[(0, 0)] in pruned.tiles
 
 
+def test_prune_reads_bottom_only_as_a_whole_token():
+    # symbols may contain "_"; only the glue token "_" itself is ⊥
+    rule = LocalRule(2, ("x_", "_y"),
+                     lambda west, south: "x_" if west[0] is BOTTOM else "_y")
+    pruned = prune_reachable(build_full_system(rule), rule, (3, 3))
+    # 8 fully defined windows, the seed, the row-0 windows after x_ and
+    # after _y, and the column-0 window under x_
+    assert len(pruned.tiles) == 12
+    assert ("x_", "(x_,_y)") in {window_key(t) for t in pruned.tiles}
+
+
 def test_pruning_is_sound_for_bounded_assembly(carpet_rule):
     full = build_full_system(carpet_rule)
     pruned = prune_reachable(full, carpet_rule, (27, 27))
@@ -308,3 +320,48 @@ def test_prune_and_stability_equal_per_cell_reference(p, data, height, width):
 
     stable = height >= 2 and width >= 2 and boundary <= interior
     assert horizon_is_stable(rule, (height, width)) == stable
+
+
+def test_prune_and_stability_of_an_n3_rule_equal_per_cell_reference():
+    # n = 3 strips are two cells thick; labels come from the rule itself
+    rule = window_sum_rule()
+    full = build_full_system(rule)
+    id_of = {window_key(t): t.id for t in full.tiles}
+    defined = {t.id for t in full.tiles if "_" not in "".join(window_key(t))}
+    for height in range(1, 13):
+        for width in range(1, 13):
+            labels = rule_matrix(rule, height, width)
+            interior, boundary = reference_per_cell_windows(labels, rule.n)
+            occurring = interior | boundary
+            want = [t.id for t in full.tiles
+                    if t.id in defined or window_key(t) in occurring]
+            pruned = prune_reachable(full, rule, (height, width))
+            assert [id_of[window_key(t)] for t in pruned.tiles] == want, \
+                (height, width)
+            stable = height >= 2 and width >= 2 and boundary <= interior
+            assert horizon_is_stable(rule, (height, width)) == stable
+
+
+def powers(x, p):
+    """<x> = {x^j mod p : j >= 0}."""
+    seen, v = set(), 1
+    while v not in seen:
+        seen.add(v)
+        v = v * x % p
+    return seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_uniform_tileset_is_exact_at_p_plus_one(p):
+    # the horizon `fractile tileset` prunes at gives the same file as 3p^2,
+    # with one tile per fully defined window, the seed, and one first-row
+    # and one first-column tile per power of a and of c
+    for a, b, c in product(range(p), repeat=3):
+        rule = delannoy_rule(Coefficients(a, b, c, p))
+        full = build_full_system(rule)
+        near = prune_reachable(full, rule, (p + 1, p + 1))
+        far = prune_reachable(full, rule, (3 * p * p, 3 * p * p))
+        assert write_tileset(near) == write_tileset(far), (a, b, c)
+        assert len(near.tiles) == \
+            p ** 3 + 1 + len(powers(a, p)) + len(powers(c, p)), (a, b, c)
+
