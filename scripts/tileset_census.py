@@ -2,10 +2,12 @@
 """Window population and tile counts for the corner-recursion rules.
 
 Shows how many distinct windows a matrix exhibits as the horizon grows,
-when the population stabilizes, and the resulting tile counts before and
-after pruning.  The mod-3 carpet tops out at 26 occurring windows, which
-is why its pruned system keeps the four never-occurring bulk tiles to
-reach the classic count of 30.
+the resulting tile counts before and after pruning, and whether the
+pruned set is stable: whether pruning at one row and one column fewer
+keeps the same tiles, which holds when the axis strips (the only cells
+whose windows mention ⊥) hold the same windows.  The mod-3 carpet tops
+out at 26 occurring windows, which is why its pruned system keeps the
+four never-occurring bulk tiles to reach the classic count of 30.
 
 The kept count is printed next to the predicted one, p^3 + 1 + |<a>| +
 |<c>|: every fully defined window, the seed, and one first-row window
@@ -47,14 +49,13 @@ def main() -> None:
         predicted = predicted_tiles(a, c, p)
         print(f"\n{rule.name}: {len(full.tiles)} tiles before pruning")
         for side in args.horizons:
-            _, interior, boundary = scan_windows(rule, side, side)
-            count = len(interior | boundary)
+            count = len(scan_windows(rule, side, side)[1])
             pruned = prune_reachable(full, rule, (side, side))
             stable = horizon_is_stable(rule, (side, side))
             print(f"  horizon {side:>4}: {count:>3} occurring windows, "
                   f"{len(pruned.tiles):>3} tiles kept "
                   f"(predicted {predicted}), "
-                  f"boundary {'stable' if stable else 'still growing'}")
+                  f"{'pruned set stable' if stable else 'still growing'}")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import conformance, formats, matrix, selfsim, tam, tilegen
 
 
@@ -42,7 +40,8 @@ def cmd_selfsim(args) -> int:
     m = matrix.delannoy_matrix(coeffs, args.size, args.size)
     if corrupt is not None:
         x, y = corrupt
-        ent = np.array(m.entries)
+        ent = m.entries  # unshared, so perturbed in place, not copied
+        ent.setflags(write=True)
         ent[x, y] = (ent[x, y] + 1) % coeffs.p
         m = matrix.ResidueMatrix(coeffs.p, ent)
     report = selfsim.check_self_similarity(m, coeffs.p)

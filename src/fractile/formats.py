@@ -99,24 +99,27 @@ def parse_tileset(text: str) -> TileSystem:
     if not lines or lines[0].strip() != TILESET_HEADER:
         raise FormatError(f"expected '{TILESET_HEADER}' header")
     temperature = None
-    seed_records: list[tuple[Position, int]] = []
+    seed_ids: dict[Position, int] = {}
     tiles: list[TileType] = []
     for line in lines[1:]:
         tokens = line.split()
         kind = tokens[0]
         try:
             if kind == "temperature":
+                if temperature is not None:
+                    raise FormatError("duplicate temperature record")
                 temperature = int(tokens[1])
             elif kind == "seed":
-                seed_records.append(((int(tokens[1]), int(tokens[2])),
-                                     int(tokens[3])))
+                pos = (int(tokens[1]), int(tokens[2]))
+                if pos in seed_ids:
+                    raise FormatError(f"duplicate seed at {pos}")
+                seed_ids[pos] = int(tokens[3])
             elif kind == "tile":
                 if len(tokens) != 15:
                     raise FormatError(f"malformed tile record: {line!r}")
                 tile_id, label = int(tokens[1]), tokens[2]
-                edges = {}
-                for i in range(3, 15, 3):
-                    edges[tokens[i]] = (tokens[i + 1], int(tokens[i + 2]))
+                edges = {tokens[i]: (tokens[i + 1], int(tokens[i + 2]))
+                         for i in range(3, 15, 3)}
                 if set(edges) != {"W", "S", "E", "N"}:
                     raise FormatError(f"tile {tile_id} is missing edges")
                 tiles.append(TileType.make(
@@ -130,14 +133,16 @@ def parse_tileset(text: str) -> TileSystem:
             raise FormatError(f"malformed record: {line!r}") from exc
     if temperature is None:
         raise FormatError("missing temperature record")
-    if not seed_records:
+    if not seed_ids:
         raise FormatError("missing seed record")
     by_id = {t.id: t for t in tiles}
     try:
-        seed = {pos: by_id[tile_id] for pos, tile_id in seed_records}
+        seed = {pos: by_id[tile_id] for pos, tile_id in seed_ids.items()}
+        return TileSystem(tuple(tiles), seed, temperature)
     except KeyError as exc:
         raise FormatError(f"seed references unknown tile id {exc}") from exc
-    return TileSystem(tuple(tiles), seed, temperature)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def write_assembly(assembly: Assembly, bound: tuple[int, int]) -> str:

@@ -131,27 +131,22 @@ def window_at(labels: Sequence[Sequence], x: int, y: int, n: int) -> WindowConte
 
 
 def scan_windows(rule: LocalRule, height: int,
-                 width: int) -> tuple[list[list], set, set]:
+                 width: int) -> tuple[list[list], set]:
     """Evaluate the rule cell by cell in row-major order, collecting windows.
 
-    Returns the label grid and the distinct raw (west, south) windows,
-    split into those of the last row and column (`boundary`) and those of
-    every other cell (`interior`).  Symbols serialize injectively, so raw
-    windows compare exactly as their glues do.
+    Returns the label grid and the distinct raw (west, south) windows of
+    every cell.  Symbols serialize injectively, so raw windows compare
+    exactly as their glues do.
     """
     check_cells(height, width, "horizon")
     labels: list[list] = [[None] * width for _ in range(height)]
-    interior: set = set()
-    boundary: set = set()
+    windows: set = set()
     for x in range(height):
         for y in range(width):
             window = _window(labels, x, y, rule.n)
-            if x == height - 1 or y == width - 1:
-                boundary.add(window)
-            else:
-                interior.add(window)
+            windows.add(window)
             labels[x][y] = rule.evaluate(*window)
-    return labels, interior, boundary
+    return labels, windows
 
 
 def rule_matrix(rule: LocalRule, height: int, width: int) -> list[list]:
@@ -225,6 +220,13 @@ def _mentions_bottom(key: tuple[str, str]) -> bool:
     return any("_" in _GLUE_SEPARATORS.split(part) for part in key)
 
 
+def _axis_windows(rule: LocalRule, height: int, width: int) -> set:
+    """Raw windows of the first n-1 rows and columns: exactly the windows
+    that mention ⊥, and each strip depends on nothing outside itself."""
+    return (scan_windows(rule, min(rule.n - 1, height), width)[1]
+            | scan_windows(rule, height, min(rule.n - 1, width))[1])
+
+
 def prune_reachable(system: TileSystem, rule: LocalRule,
                     horizon: tuple[int, int]) -> TileSystem:
     """Drop boundary tiles whose windows never occur within the horizon.
@@ -233,18 +235,11 @@ def prune_reachable(system: TileSystem, rule: LocalRule,
     the generic bulk of the construction, and an interior attachment
     requires both the west and south glues to match, which already pins
     the tile to a window of the matrix.  Tiles whose windows mention ⊥
-    are kept only if the window occurs in the matrix over the horizon.
-    Such windows sit in the first n-1 rows or columns, and each of those
-    strips depends on nothing outside itself, so only the strips are
-    scanned.  Kept tiles are renumbered consecutively in their original
-    order.
+    are kept only if the window occurs in the horizon's axis strips.
+    Kept tiles are renumbered consecutively in their original order.
     """
-    height, width = horizon
-    strips = (scan_windows(rule, min(rule.n - 1, height), width),
-              scan_windows(rule, height, min(rule.n - 1, width)))
     occurring = {(glue_vector(west), glue_rows(south))
-                 for _, interior, boundary in strips
-                 for west, south in interior | boundary}
+                 for west, south in _axis_windows(rule, *horizon)}
     kept = []
     seed_tile = None
     seed_keys = {_window_key(t) for t in system.seed.values()}
@@ -263,12 +258,13 @@ def prune_reachable(system: TileSystem, rule: LocalRule,
 
 
 def horizon_is_stable(rule: LocalRule, horizon: tuple[int, int]) -> bool:
-    """True when the horizon's last row and column add no new windows."""
-    height, width = horizon
-    if height < 2 or width < 2:
-        return False
-    _, interior, boundary = scan_windows(rule, height, width)
-    return boundary <= interior
+    """True when the axis strips at (h, w) and (h-1, w-1) hold the same
+    windows.  Pruning keeps every fully defined tile, so this says that
+    pruning at one row and one column fewer keeps the same tiles.  Only
+    the strips are scanned: O(h + w)."""
+    h, w = horizon
+    return h >= 2 and w >= 2 and (_axis_windows(rule, h, w)
+                                  == _axis_windows(rule, h - 1, w - 1))
 
 
 def delannoy_rule(coeffs: Coefficients) -> LocalRule:

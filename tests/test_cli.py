@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ def test_selfsim_corrupt_outside_window_exits_2(capsys, cell):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "outside the 27x27 window" in err[0]
+
+
+def test_selfsim_corrupt_does_not_copy_the_window(capsys):
+    argv = ["selfsim", *CARPET_FLAGS, "--size", "2187"]
+    window_bytes = delannoy_matrix(Coefficients(1, 1, 1, 3),
+                                   2187, 2187).entries.nbytes
+    peaks = []
+    for extra in ([], ["--corrupt", "100", "200"]):
+        tracemalloc.start()
+        try:
+            run(*argv, *extra)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < window_bytes / 4
+    out = capsys.readouterr().out
+    assert "VIOLATED" in out and "witness" in out
 
 
 def test_tileset_carpet_records(tmp_path):
@@ -201,6 +219,27 @@ def test_simulate_rejects_malformed_tileset(tmp_path):
     bad = tmp_path / "bad.tiles"
     bad.write_text("tileset v1\ntemperature 2\nseed 0 0 0\ntile 0 x W\n")
     assert run("simulate", "--tileset", str(bad), "--bound", "3") == 2
+
+
+TILE_0 = "tile 0 1 W _ 1 S (_,_) 1 E 1 2 N (_,1) 2"
+
+
+@pytest.mark.parametrize("records,problem", [
+    (["temperature 2", "seed 0 0 0", TILE_0, TILE_0], "unique"),
+    (["temperature 0", "seed 0 0 0", TILE_0], "temperature"),
+    (["temperature 2", "temperature 1", "seed 0 0 0", TILE_0],
+     "duplicate temperature"),
+    (["temperature 2", "seed 0 0 0", "seed 0 0 0", TILE_0], "duplicate seed"),
+], ids=["duplicate-id", "temperature-0", "two-temperatures", "two-seeds"])
+def test_parse_tileset_rejects_bad_records(tmp_path, capsys, records,
+                                           problem):
+    text = "\n".join(["tileset v1"] + records) + "\n"
+    with pytest.raises(formats.FormatError, match=problem):
+        formats.parse_tileset(text)
+    tiles = tmp_path / "bad.tiles"
+    tiles.write_text(text)
+    assert run("simulate", "--tileset", str(tiles), "--bound", "3") == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def read_ppm(data: bytes):

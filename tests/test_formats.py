@@ -1,0 +1,116 @@
+"""Properties of the three text formats: any text either parses or raises
+FormatError, and writing what was parsed reproduces the written text."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fractile import Assembly, ResidueMatrix, TileSystem, TileType
+from fractile.formats import (FormatError, parse_assembly, parse_grid,
+                              parse_tileset, write_assembly, write_grid,
+                              write_tileset)
+from fractile.matrix import MAX_MODULUS
+
+# One whitespace-free token, as labels and glues are written.
+TOKEN = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z")),
+                min_size=1, max_size=4)
+GLUE = st.tuples(TOKEN, st.integers(0, 2))
+# Small numbers make duplicates and edge values likely; 2^70 overflows
+# int64.
+NUMBER = st.one_of(st.integers(-1, 3), st.just(2 ** 70)).map(str)
+JUNK = st.text(max_size=12)
+
+
+@st.composite
+def grids(draw):
+    p = draw(st.sampled_from((2, 3, 257, 65537, MAX_MODULUS)))
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    return ResidueMatrix(p, np.array(draw(st.lists(row, min_size=1,
+                                                   max_size=5))))
+
+
+@st.composite
+def tilesets(draw):
+    ids = draw(st.lists(st.integers(-5, 50), min_size=1, max_size=6,
+                        unique=True))
+    tiles = tuple(TileType.make(i, draw(TOKEN), *draw(st.tuples(*[GLUE] * 4)))
+                  for i in ids)
+    seed = draw(st.dictionaries(st.tuples(st.integers(-3, 3),
+                                          st.integers(-3, 3)),
+                                st.sampled_from(tiles), min_size=1,
+                                max_size=3))
+    return TileSystem(tiles, seed, draw(st.integers(1, 3)))
+
+
+def as_assembly(placements):
+    """An assembly holding a tile of the given id and label per position;
+    the dump records nothing else of a tile."""
+    return Assembly({pos: TileType.make(i, label, *[("g", 1)] * 4)
+                     for pos, (i, label) in placements.items()},
+                    sorted(placements), 0)
+
+
+@st.composite
+def assemblies(draw):
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    placements = draw(st.dictionaries(cells, st.tuples(st.integers(0, 9),
+                                                       TOKEN)))
+    return as_assembly(placements), (height, width)
+
+
+@given(grids())
+def test_grid_round_trip(m):
+    text = write_grid(m)
+    assert write_grid(parse_grid(text)) == text
+
+
+@given(tilesets())
+def test_tileset_round_trip(system):
+    text = write_tileset(system)
+    assert write_tileset(parse_tileset(text)) == text
+
+
+@given(assemblies())
+def test_assembly_round_trip(case):
+    assembly, bound = case
+    text = write_assembly(assembly, bound)
+    parsed_bound, placements = parse_assembly(text)
+    assert write_assembly(as_assembly(placements), parsed_bound) == text
+
+
+@st.composite
+def edited(draw, written):
+    """A written document with a few lines copied, dropped or given a
+    junk token: text that mostly gets past the header."""
+    lines = draw(written).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        edit = draw(st.sampled_from(("copy", "drop", "replace")))
+        if edit == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "drop" or not tokens:
+            del lines[i]
+        else:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(NUMBER | JUNK)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("parse,texts", [
+    (parse_grid, edited(grids().map(write_grid))),
+    (parse_tileset, edited(tilesets().map(write_tileset))),
+    (parse_assembly, edited(assemblies().map(lambda c: write_assembly(*c)))),
+], ids=["grid", "tileset", "assembly"])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_any_text_parses_or_raises_format_error(parse, texts, data):
+    try:
+        parse(data.draw(JUNK | texts))
+    except FormatError:
+        pass

@@ -40,6 +40,18 @@ def test_tileset_census_prints_the_predicted_count():
     assert "131 tiles kept (predicted 131)" in rows[1]
 
 
+def test_tileset_census_reports_when_the_pruned_set_settles():
+    # 5 already keeps all 131 tiles, but 4 keeps 130, so the first
+    # stable horizon is 6
+    proc = run_script("tileset_census.py", "--coeffs", "1", "2", "2", "5",
+                      "--horizons", "5", "6")
+    assert proc.returncode == 0, proc.stderr
+    rows = [ln for ln in proc.stdout.splitlines() if "horizon" in ln]
+    assert len(rows) == 2
+    assert "131 tiles kept" in rows[0] and "still growing" in rows[0]
+    assert "131 tiles kept" in rows[1] and rows[1].endswith("pruned set stable")
+
+
 def test_lemma_sweep_small_primes():
     proc = run_script("lemma_sweep.py", "--primes", "2", "3", "--k-max", "2")
     assert proc.returncode == 0, proc.stderr

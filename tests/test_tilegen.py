@@ -194,7 +194,17 @@ def test_pruning_is_sound_for_bounded_assembly(carpet_rule):
 def test_horizon_stability_probe(carpet_rule):
     assert horizon_is_stable(carpet_rule, (243, 243))
     assert horizon_is_stable(carpet_rule, (81, 81))
-    assert not horizon_is_stable(carpet_rule, (3, 3))
+    # the carpet's pruned set is final at 3x3 but not yet at 2x2
+    assert horizon_is_stable(carpet_rule, (3, 3))
+    assert not horizon_is_stable(carpet_rule, (2, 2))
+    mod5 = delannoy_rule(Coefficients(1, 2, 2, 5))
+    assert not horizon_is_stable(mod5, (5, 5))
+    assert horizon_is_stable(mod5, (6, 6))
+
+
+def test_horizon_stability_reads_only_the_axis_strips(carpet_rule):
+    # 20000^2 is over MAX_CELLS, so a full-horizon scan would raise
+    assert horizon_is_stable(carpet_rule, (20000, 20000))
 
 
 def test_carpet_system_census(carpet):
@@ -279,19 +289,19 @@ def test_pruned_tileset_digest_pins(make_rule, side, count, digest):
 
 
 def reference_per_cell_windows(labels, n):
-    """Per-cell loop: serialized window keys of every cell, split into
-    the interior and the last row and column."""
-    height, width = len(labels), len(labels[0])
-    interior, boundary = set(), set()
-    for x in range(height):
-        for y in range(width):
-            w = window_at(labels, x, y, n)
-            key = (glue_vector(w.west), glue_rows(w.south))
-            if x == height - 1 or y == width - 1:
-                boundary.add(key)
-            else:
-                interior.add(key)
-    return interior, boundary
+    """Per-cell loop: serialized window keys of every cell."""
+    return {(glue_vector(w.west), glue_rows(w.south))
+            for w in (window_at(labels, x, y, n)
+                      for x in range(len(labels))
+                      for y in range(len(labels[0])))}
+
+
+def reference_kept_ids(full, labels, n):
+    """Ids of the tiles pruning keeps: every fully defined window's tile
+    and every tile whose window occurs in the labels."""
+    occurring = reference_per_cell_windows(labels, n)
+    return [t.id for t in full.tiles
+            if "_" not in "".join(window_key(t)) or window_key(t) in occurring]
 
 
 def window_key(tile):
@@ -308,17 +318,17 @@ def test_prune_and_stability_equal_per_cell_reference(p, data, height, width):
     coeffs = Coefficients(a, b, c, p)
     rule = delannoy_rule(coeffs)
     labels = delannoy_matrix(coeffs, height, width).entries.tolist()
-    interior, boundary = reference_per_cell_windows(labels, rule.n)
-    occurring = interior | boundary
 
     full = build_full_system(rule)
-    want = [t.id for t in full.tiles
-            if "_" not in "".join(window_key(t)) or window_key(t) in occurring]
+    want = reference_kept_ids(full, labels, rule.n)
     id_of = {window_key(t): t.id for t in full.tiles}
     pruned = prune_reachable(full, rule, (height, width))
     assert [id_of[window_key(t)] for t in pruned.tiles] == want
 
-    stable = height >= 2 and width >= 2 and boundary <= interior
+    # stable: pruning one row and one column short keeps the same tiles
+    smaller = [row[:width - 1] for row in labels[:height - 1]]
+    stable = (height >= 2 and width >= 2
+              and want == reference_kept_ids(full, smaller, rule.n))
     assert horizon_is_stable(rule, (height, width)) == stable
 
 
@@ -327,18 +337,17 @@ def test_prune_and_stability_of_an_n3_rule_equal_per_cell_reference():
     rule = window_sum_rule()
     full = build_full_system(rule)
     id_of = {window_key(t): t.id for t in full.tiles}
-    defined = {t.id for t in full.tiles if "_" not in "".join(window_key(t))}
+    kept = {}
     for height in range(1, 13):
         for width in range(1, 13):
             labels = rule_matrix(rule, height, width)
-            interior, boundary = reference_per_cell_windows(labels, rule.n)
-            occurring = interior | boundary
-            want = [t.id for t in full.tiles
-                    if t.id in defined or window_key(t) in occurring]
+            want = kept[height, width] = reference_kept_ids(full, labels,
+                                                            rule.n)
             pruned = prune_reachable(full, rule, (height, width))
             assert [id_of[window_key(t)] for t in pruned.tiles] == want, \
                 (height, width)
-            stable = height >= 2 and width >= 2 and boundary <= interior
+            stable = (height >= 2 and width >= 2
+                      and want == kept[height - 1, width - 1])
             assert horizon_is_stable(rule, (height, width)) == stable
 
 
