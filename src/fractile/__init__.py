@@ -6,8 +6,8 @@ from .matrix import (BOTTOM, Coefficients, ResidueMatrix, closed_form,
 from .selfsim import (LemmaReport, SelfSimReport, check_lemmas,
                       check_self_similarity, fractal_set)
 from .tam import (Assembly, Direction, DirectednessResult, TileSystem,
-                  TileType, assemble_bounded, can_attach, frontier,
-                  is_directed_empirically, replay_is_valid)
+                  TileType, assemble_bounded, is_directed_empirically,
+                  replay_is_valid)
 from .tilegen import (LocalRule, WindowContent, build_full_system,
                       build_tile, carpet_system, delannoy_rule,
                       horizon_is_stable, prune_reachable, rule_matrix,
@@ -24,8 +24,7 @@ __all__ = [
     "LemmaReport", "SelfSimReport", "check_lemmas", "check_self_similarity",
     "fractal_set",
     "Assembly", "Direction", "DirectednessResult", "TileSystem", "TileType",
-    "assemble_bounded", "can_attach", "frontier", "is_directed_empirically",
-    "replay_is_valid",
+    "assemble_bounded", "is_directed_empirically", "replay_is_valid",
     "LocalRule", "WindowContent", "build_full_system", "build_tile",
     "carpet_system", "delannoy_rule", "horizon_is_stable", "prune_reachable",
     "rule_matrix", "scan_windows", "window_at",

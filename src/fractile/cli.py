@@ -107,7 +107,7 @@ def _label_modulus(grid) -> int:
 
 def cmd_render(args) -> int:
     text = Path(args.source).read_text()
-    header = text.splitlines()[0].strip() if text.strip() else ""
+    header, _ = formats.split_header(text)
     if header == formats.GRID_HEADER:
         m = formats.parse_grid(text)
         values = m.entries

@@ -21,9 +21,12 @@ assembly v1       placement dump
     place <x> <y> <tile id> <label>     (sorted by position)
 
 Glue tokens never contain whitespace, so every line splits on spaces.
-Assembly dumps are written in position order, not attachment order, so
-two runs of a directed system produce byte-identical dumps.  Images are
-binary portable pixmaps (P6) with matrix row 0 along the bottom edge.
+Blank lines are skipped, so the header is the first non-blank line.  Each
+record has exactly its fields; `temperature`, `bound` and `placed` appear
+at most once.  Assembly dumps are written in position order, not
+attachment order, so two runs of a directed system produce byte-identical
+dumps.  Images are binary portable pixmaps (P6) with matrix row 0 along
+the bottom edge.
 """
 
 from __future__ import annotations
@@ -43,9 +46,46 @@ ASSEMBLY_HEADER = "assembly v1"
 _EDGE_LETTERS = (("W", Direction.W), ("S", Direction.S),
                  ("E", Direction.E), ("N", Direction.N))
 
+# Tokens per record, its kind included.
+_TILESET_RECORDS = {"temperature": 2, "seed": 4, "tile": 15}
+_ASSEMBLY_RECORDS = {"bound": 3, "placed": 2, "place": 5}
+_SINGLE_RECORDS = {"temperature", "bound", "placed"}
+
 
 class FormatError(ValueError):
     """Raised for malformed or mislabeled input files."""
+
+
+def split_header(text: str) -> tuple[str, list[str]]:
+    """A file's header (its first non-blank line, stripped) and the
+    non-blank lines after it."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return (lines[0].strip() if lines else ""), lines[1:]
+
+
+def _body(text: str, header: str) -> list[str]:
+    found, lines = split_header(text)
+    if found != header:
+        raise FormatError(f"expected '{header}' header")
+    return lines
+
+
+def _records(text: str, header: str, arity: dict[str, int]):
+    """Each record after `header` as its tokens, kind first; refuses an
+    unknown kind, a wrong token count and a repeated single record."""
+    seen: set[str] = set()
+    for line in _body(text, header):
+        tokens = line.split()
+        kind = tokens[0]
+        if kind not in arity:
+            raise FormatError(f"unknown record kind {kind!r}")
+        if len(tokens) != arity[kind]:
+            raise FormatError(f"malformed {kind} record: {line!r}")
+        if kind in _SINGLE_RECORDS:
+            if kind in seen:
+                raise FormatError(f"duplicate {kind} record")
+            seen.add(kind)
+        yield tokens
 
 
 def write_grid(matrix: ResidueMatrix) -> str:
@@ -56,14 +96,12 @@ def write_grid(matrix: ResidueMatrix) -> str:
 
 
 def parse_grid(text: str) -> ResidueMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != GRID_HEADER:
-        raise FormatError(f"expected '{GRID_HEADER}' header")
+    lines = _body(text, GRID_HEADER)
     try:
-        height, width, modulus = (int(v) for v in lines[1].split())
+        height, width, modulus = (int(v) for v in lines[0].split())
     except (IndexError, ValueError) as exc:
         raise FormatError("malformed grid dimension line") from exc
-    rows = lines[2:]
+    rows = lines[1:]
     if len(rows) != height:
         raise FormatError(f"expected {height} rows, found {len(rows)}")
     try:
@@ -95,28 +133,20 @@ def write_tileset(system: TileSystem) -> str:
 
 
 def parse_tileset(text: str) -> TileSystem:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != TILESET_HEADER:
-        raise FormatError(f"expected '{TILESET_HEADER}' header")
     temperature = None
     seed_ids: dict[Position, int] = {}
     tiles: list[TileType] = []
-    for line in lines[1:]:
-        tokens = line.split()
+    for tokens in _records(text, TILESET_HEADER, _TILESET_RECORDS):
         kind = tokens[0]
         try:
             if kind == "temperature":
-                if temperature is not None:
-                    raise FormatError("duplicate temperature record")
                 temperature = int(tokens[1])
             elif kind == "seed":
                 pos = (int(tokens[1]), int(tokens[2]))
                 if pos in seed_ids:
                     raise FormatError(f"duplicate seed at {pos}")
                 seed_ids[pos] = int(tokens[3])
-            elif kind == "tile":
-                if len(tokens) != 15:
-                    raise FormatError(f"malformed tile record: {line!r}")
+            else:
                 tile_id, label = int(tokens[1]), tokens[2]
                 edges = {tokens[i]: (tokens[i + 1], int(tokens[i + 2]))
                          for i in range(3, 15, 3)}
@@ -125,12 +155,11 @@ def parse_tileset(text: str) -> TileSystem:
                 tiles.append(TileType.make(
                     tile_id, label, west=edges["W"], south=edges["S"],
                     east=edges["E"], north=edges["N"]))
-            else:
-                raise FormatError(f"unknown record kind {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             if isinstance(exc, FormatError):
                 raise
-            raise FormatError(f"malformed record: {line!r}") from exc
+            raise FormatError(
+                f"malformed record: {' '.join(tokens)!r}") from exc
     if temperature is None:
         raise FormatError("missing temperature record")
     if not seed_ids:
@@ -157,30 +186,25 @@ def write_assembly(assembly: Assembly, bound: tuple[int, int]) -> str:
 
 def parse_assembly(text: str) -> tuple[tuple[int, int], dict[Position, tuple[int, str]]]:
     """Returns the bound and a map position -> (tile id, label)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != ASSEMBLY_HEADER:
-        raise FormatError(f"expected '{ASSEMBLY_HEADER}' header")
     bound = None
     count = None
     placements: dict[Position, tuple[int, str]] = {}
-    for line in lines[1:]:
-        tokens = line.split()
+    for tokens in _records(text, ASSEMBLY_HEADER, _ASSEMBLY_RECORDS):
         try:
             if tokens[0] == "bound":
                 bound = (int(tokens[1]), int(tokens[2]))
             elif tokens[0] == "placed":
                 count = int(tokens[1])
-            elif tokens[0] == "place":
+            else:
                 pos = (int(tokens[1]), int(tokens[2]))
                 if pos in placements:
                     raise FormatError(f"duplicate placement at {pos}")
                 placements[pos] = (int(tokens[3]), tokens[4])
-            else:
-                raise FormatError(f"unknown record kind {tokens[0]!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             if isinstance(exc, FormatError):
                 raise
-            raise FormatError(f"malformed record: {line!r}") from exc
+            raise FormatError(
+                f"malformed record: {' '.join(tokens)!r}") from exc
     if bound is None:
         raise FormatError("missing bound record")
     for x, y in placements:

@@ -1,4 +1,4 @@
-"""Abstract tile assembly model core: tiles, bonds, frontiers, growth.
+"""Abstract tile assembly model core: tiles, bonds, growth, replay.
 
 Positions are (row, column) pairs; row increases northward and column
 increases eastward, so the north neighbor of (x, y) is (x+1, y) and the
@@ -190,38 +190,6 @@ class _Candidates(dict):
                       if _accepts(t.edges, profile, self.temperature, self.lax))
         self[profile] = found
         return found
-
-
-def can_attach(assembly: Assembly, pos: Position, tile: TileType,
-               temperature: int, lax: bool = False) -> bool:
-    """Whether `tile` may extend `assembly` at the unoccupied `pos`.
-
-    Strict semantics (default): every edge abutting an occupied neighbor
-    must match in color and strength, and the matched strengths must sum
-    to at least the temperature.  Lax semantics: mismatching edges are
-    tolerated and contribute nothing to the sum.
-    """
-    if pos in assembly.placements:
-        raise ValueError(f"position {pos} is already occupied")
-    return _accepts(tile.edges, _profile(assembly.placements, pos),
-                    temperature, lax)
-
-
-def frontier(assembly: Assembly, system: TileSystem,
-             bound: tuple[int, int] | None = None,
-             lax: bool = False) -> set[tuple[Position, TileType]]:
-    """All (position, tile) pairs currently attachable to the assembly."""
-    candidates = _Candidates(system, lax)
-    placements = assembly.placements
-    out: set[tuple[Position, TileType]] = set()
-    for (x, y) in placements:
-        for dx, dy in _DELTAS:
-            q = (x + dx, y + dy)
-            if q in placements or bound is not None and not (
-                    0 <= q[0] < bound[0] and 0 <= q[1] < bound[1]):
-                continue
-            out.update((q, t) for t in candidates[_profile(placements, q)])
-    return out
 
 
 def assemble_bounded(system: TileSystem, bound: tuple[int, int],

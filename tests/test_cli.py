@@ -230,7 +230,10 @@ TILE_0 = "tile 0 1 W _ 1 S (_,_) 1 E 1 2 N (_,1) 2"
     (["temperature 2", "temperature 1", "seed 0 0 0", TILE_0],
      "duplicate temperature"),
     (["temperature 2", "seed 0 0 0", "seed 0 0 0", TILE_0], "duplicate seed"),
-], ids=["duplicate-id", "temperature-0", "two-temperatures", "two-seeds"])
+    (["temperature 2 7", "seed 0 0 0", TILE_0], "malformed temperature"),
+    (["temperature 2", "seed 0 0 0 junk", TILE_0], "malformed seed"),
+], ids=["duplicate-id", "temperature-0", "two-temperatures", "two-seeds",
+        "temperature-extra-token", "seed-extra-token"])
 def test_parse_tileset_rejects_bad_records(tmp_path, capsys, records,
                                            problem):
     text = "\n".join(["tileset v1"] + records) + "\n"
@@ -276,6 +279,15 @@ def test_render_single_cell(tmp_path):
     assert (arr == (10, 20, 30)).all()
 
 
+def test_render_reads_the_header_after_blank_lines(tmp_path):
+    grid = tmp_path / "blank.grid"
+    grid.write_text("\ngrid v1\n1 1 3\n1\n")
+    img = tmp_path / "blank.ppm"
+    assert run("render", str(grid), "--out", str(img), "--cell-size", "1",
+               "--palette", "0=255,255,255;1=10,20,30") == 0
+    assert (read_ppm(img.read_bytes()) == (10, 20, 30)).all()
+
+
 def test_render_assembly_dump(tmp_path):
     tiles = tmp_path / "carpet.tiles"
     run("tileset", "--carpet", "--out", str(tiles))
@@ -292,6 +304,11 @@ def test_render_assembly_dump(tmp_path):
      "duplicate"),
     (["place 1 1 1 1", "place 9 9 3 1", "bound 2 2"], "outside"),
     (["bound 2 2", "place -1 0 1 1"], "outside"),
+    (["bound 2 2 5"], "malformed bound"),
+    (["bound 2 2", "placed 1 x", "place 0 0 1 1"], "malformed placed"),
+    (["bound 2 2", "place 0 0 1 1 extra"], "malformed place"),
+    (["bound 2 2", "bound 3 3"], "duplicate bound"),
+    (["bound 2 2", "placed 0", "placed 0"], "duplicate placed"),
 ])
 def test_parse_assembly_rejects_bad_placements(tmp_path, capsys, records,
                                                problem):

@@ -1,22 +1,16 @@
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractile import (Assembly, Coefficients, Direction, TileSystem, TileType,
-                      assemble_bounded, build_full_system, can_attach,
-                      carpet_system, delannoy_rule, frontier,
+                      assemble_bounded, build_full_system, delannoy_rule,
                       is_directed_empirically, prune_reachable,
-                      replay_is_valid, rule_matrix)
+                      replay_is_valid)
 from fractile.formats import write_assembly
 
 W, S, E, N = Direction.W, Direction.S, Direction.E, Direction.N
-
-
-def tiles_by_label_and_glue(system):
-    return {(t.label, t.colors): t for t in system.tiles}
 
 
 def carpet_tile(system, west_glue, south_glue):
@@ -36,6 +30,13 @@ def parts(carpet):
     }
 
 
+def replays(placed, temperature=2, lax=False):
+    """Replay `placed`, a position -> tile map in attachment order whose
+    first entry is the seed."""
+    asm = Assembly(dict(placed), list(placed), 1)
+    return replay_is_valid(asm, temperature, lax=lax)
+
+
 def test_direction_geometry():
     assert N.delta == (1, 0) and S.delta == (-1, 0)
     assert E.delta == (0, 1) and W.delta == (0, -1)
@@ -48,96 +49,34 @@ def test_tile_type_validation():
         TileType.make(0, "x", ("a", 3), ("b", 1), ("c", 1), ("d", 1))
 
 
-def test_can_attach_single_strength_2_bond(carpet, parts):
-    asm = Assembly.from_seed(carpet.seed)
-    assert can_attach(asm, (0, 1), parts["row0"], 2)
+def test_can_attach_single_strength_2_bond(parts):
+    assert replays({(0, 0): parts["seed"], (0, 1): parts["row0"]})
 
 
-def test_cannot_attach_without_neighbors(carpet):
-    asm = Assembly.from_seed(carpet.seed)
-    assert all(not can_attach(asm, (1, 1), t, 2) for t in carpet.tiles)
+def test_cannot_attach_without_neighbors(carpet, parts):
+    assert not any(replays({(0, 0): parts["seed"], (1, 1): t})
+                   for t in carpet.tiles)
 
 
-def test_cooperative_attachment(carpet, parts):
-    asm = Assembly.from_seed(carpet.seed)
-    asm.placements[(0, 1)] = parts["row0"]
-    asm.placements[(1, 0)] = parts["col0"]
-    asm.attachment_order += [(0, 1), (1, 0)]
-    assert can_attach(asm, (1, 1), parts["interior_111"], 2)
+def test_cooperative_attachment(parts):
+    axes = {(0, 0): parts["seed"], (0, 1): parts["row0"],
+            (1, 0): parts["col0"]}
+    assert replays({**axes, (1, 1): parts["interior_111"]})
     # the same tile cannot sit on row 0: its west edge mismatches strength
-    assert not can_attach(asm, (0, 2), parts["interior_111"], 2)
-
-
-def test_attach_on_occupied_position_raises(carpet, parts):
-    asm = Assembly.from_seed(carpet.seed)
-    with pytest.raises(ValueError):
-        can_attach(asm, (0, 0), parts["row0"], 2)
+    assert not replays({**axes, (0, 2): parts["interior_111"]})
 
 
 def test_lax_semantics_tolerates_mismatches():
     seed = TileType.make(0, "s", ("w0", 1), ("s0", 1), ("a", 2), ("b", 2))
     right = TileType.make(1, "r", ("a", 2), ("s1", 1), ("a", 2), ("q", 1))
     up = TileType.make(2, "u", ("w1", 1), ("b", 2), ("r", 2), ("b", 2))
-    system = TileSystem((seed, right, up), {(0, 0): seed}, 2)
-    asm = Assembly.from_seed(system.seed)
-    for pos, tile in (((0, 1), right), ((1, 0), up)):
-        asm.placements[pos] = tile
-        asm.attachment_order.append(pos)
-    # Candidate at (1, 1): full-strength west bond to `up`, but its south
-    # edge mismatches the `right` tile below.  Strict matching blocks it;
-    # under lax rules the mismatch merely contributes nothing.
+    # The probe at (1, 1) has a full-strength west bond to `up`, but its
+    # south edge mismatches the `right` tile below.  Strict matching
+    # blocks it; under lax rules the mismatch merely contributes nothing.
     probe = TileType.make(3, "x", ("r", 2), ("zz", 1), ("e", 1), ("n", 1))
-    assert not can_attach(asm, (1, 1), probe, 2)
-    assert can_attach(asm, (1, 1), probe, 2, lax=True)
-
-
-def test_seed_frontier_is_exactly_two_pairs(carpet, parts):
-    asm = Assembly.from_seed(carpet.seed)
-    pairs = frontier(asm, carpet)
-    assert pairs == {((0, 1), parts["row0"]), ((1, 0), parts["col0"])}
-
-
-def test_frontier_with_nothing_attachable_is_empty():
-    seed = TileType.make(0, "s", ("w", 1), ("s", 1), ("e", 2), ("n", 2))
-    system = TileSystem((seed,), {(0, 0): seed}, 2)
-    asm = Assembly.from_seed(system.seed)
-    assert frontier(asm, system) == set()
-
-
-def test_frontier_excludes_negative_positions_for_carpet(carpet):
-    asm = Assembly.from_seed(carpet.seed)
-    assert all(q[0] >= 0 and q[1] >= 0 for q, _ in frontier(asm, carpet))
-
-
-def brute_force_frontier(asm, system, bound):
-    out = set()
-    height, width = bound
-    occupied = set(asm.placements)
-    candidates = {(x + dx, y + dy)
-                  for (x, y) in occupied for dx, dy in
-                  ((1, 0), (-1, 0), (0, 1), (0, -1))} - occupied
-    for q in candidates:
-        if not (0 <= q[0] < height and 0 <= q[1] < width):
-            continue
-        for t in system.tiles:
-            if can_attach(asm, q, t, system.temperature):
-                out.add((q, t))
-    return out
-
-
-def test_frontier_matches_brute_force_along_a_run(carpet):
-    rng = random.Random(4)
-    asm = Assembly.from_seed(carpet.seed)
-    bound = (5, 5)
-    for _ in range(12):
-        pairs = sorted(frontier(asm, carpet, bound=bound),
-                       key=lambda pt: (pt[0], pt[1].id))
-        assert set(pairs) == brute_force_frontier(asm, carpet, bound)
-        if not pairs:
-            break
-        pos, tile = pairs[rng.randrange(len(pairs))]
-        asm.placements[pos] = tile
-        asm.attachment_order.append(pos)
+    placed = {(0, 0): seed, (0, 1): right, (1, 0): up, (1, 1): probe}
+    assert not replays(placed)
+    assert replays(placed, lax=True)
 
 
 def test_bounded_assembly_fills_small_carpet(carpet):
@@ -180,6 +119,10 @@ def test_replay_soundness(carpet):
     asm.attachment_order[1], asm.attachment_order[-1] = \
         asm.attachment_order[-1], asm.attachment_order[1]
     assert not replay_is_valid(asm, 2)
+    # an order naming a position twice re-attaches at an occupied cell
+    twice = assemble_bounded(carpet, (9, 9), 5)
+    twice.attachment_order.append(twice.attachment_order[-1])
+    assert not replay_is_valid(twice, 2)
 
 
 def test_bound_must_contain_seed(carpet):
@@ -194,7 +137,6 @@ def test_carpet_is_directed_empirically(carpet):
 
 def test_full_construction_agrees_with_pruned(carpet):
     rule = delannoy_rule(Coefficients(1, 1, 1, 3))
-    from fractile import build_full_system
     full = build_full_system(rule)
     a = assemble_bounded(full, (9, 9), 8)
     b = assemble_bounded(carpet, (9, 9), 8)
@@ -302,30 +244,34 @@ GLUE = st.tuples(st.sampled_from("ab"), st.integers(0, 2))
 
 
 @st.composite
-def systems_with_placements(draw):
+def growth_cases(draw):
     edges = draw(st.lists(st.tuples(GLUE, GLUE, GLUE, GLUE),
                           min_size=1, max_size=6))
     tiles = tuple(TileType.make(i, f"t{i}", *e) for i, e in enumerate(edges))
-    cells = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                         min_size=1, max_size=10))
-    placed = {pos: draw(st.sampled_from(tiles)) for pos in sorted(cells)}
-    first = min(placed)
-    system = TileSystem(tiles, {first: placed[first]},
+    system = TileSystem(tiles, {(0, 0): draw(st.sampled_from(tiles))},
                         draw(st.integers(1, 3)))
-    return system, placed
+    bound = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return system, bound
 
 
-@given(systems_with_placements(), st.booleans())
-@settings(max_examples=200)
-def test_candidates_match_per_tile_rule(case, lax):
-    system, placed = case
-    asm = Assembly(dict(placed), sorted(placed), 1)
-    empty = {(x + dx, y + dy) for (x, y) in placed
-             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))} - set(placed)
-    expected = {(q, t) for q in empty for t in system.tiles
-                if reference_attaches(placed, q, t, system.temperature, lax)}
-    assert frontier(asm, system, lax=lax) == expected
-    for q in empty:
-        for t in system.tiles:
-            assert can_attach(asm, q, t, system.temperature, lax=lax) == (
-                (q, t) in expected)
+@given(growth_cases(), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=300)
+def test_candidates_match_per_tile_rule(case, order_seed, lax):
+    # Growth places only pairs the per-tile rule accepts, and stops only
+    # when no in-bound cell accepts any tile.
+    system, (height, width) = case
+    temperature = system.temperature
+    asm = assemble_bounded(system, (height, width), order_seed, lax=lax)
+    order = asm.attachment_order
+    assert order[0] == (0, 0) and asm.seed_count == 1
+    assert len(set(order)) == len(order) and set(order) == set(asm.placements)
+    partial = {(0, 0): asm.placements[(0, 0)]}
+    for pos in order[1:]:
+        assert 0 <= pos[0] < height and 0 <= pos[1] < width
+        tile = asm.placements[pos]
+        assert reference_attaches(partial, pos, tile, temperature, lax)
+        partial[pos] = tile
+    empty = {(x, y) for x in range(height) for y in range(width)} - set(order)
+    for pos in empty:
+        assert not any(reference_attaches(asm.placements, pos, t, temperature,
+                                          lax) for t in system.tiles)
