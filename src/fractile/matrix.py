@@ -7,7 +7,8 @@ The core object is the matrix defined by
 
 with every value reduced modulo a prime p.  The a = b = c = 1 instance
 gives the Delannoy numbers; a = 1, b = 0, c = 1 gives the binomial table
-(Pascal's triangle laid out with constant anti-diagonals).
+(Pascal's triangle laid out with constant anti-diagonals).  Windows are
+generated one anti-diagonal at a time, whose cells are independent.
 
 Two independent oracles are provided for cross-checking the recursion:
 a closed-form sum of products of binomial coefficients (evaluated mod p
@@ -18,7 +19,7 @@ lattice paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -45,7 +46,7 @@ BOTTOM = _Bottom()
 # Hard cap for the exponential path enumeration oracle.
 PATH_ORACLE_LIMIT = 22
 
-# Largest accepted modulus: up to it 2*(p-1)**2 fits in int64, so the
+# Largest accepted modulus: up to it 3*(p-1)**2 fits in uint64, so the
 # vectorized recursion is exact, and every residue fits in uint32.
 MAX_MODULUS = 2 ** 31 - 1
 
@@ -167,60 +168,59 @@ class ResidueMatrix:
         return int(self.entries[x, y])
 
 
-def _powers(base: int, count: int, p: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.int64)
-    v = 1
-    for i in range(count):
-        out[i] = v
-        v = v * base % p
-    return out
-
-
-def _next_row(prev: np.ndarray, first: int, coeffs: Coefficients,
-              apow: np.ndarray, ainvpow: np.ndarray | None) -> np.ndarray:
-    """One row of the recursion, vectorized.
-
-    With u[j] = b*prev[j-1] + c*prev[j], the row obeys the first-order
-    scan row[j] = a*row[j-1] + u[j].  For invertible a the scan is solved
-    in closed form by dividing out powers of a and taking a prefix sum;
-    products stay below p^2 so int64 arithmetic is exact.
-    """
-    a, b, c, p = coeffs.a, coeffs.b, coeffs.c, coeffs.p
-    w = prev.shape[0]
-    row = np.empty(w, dtype=np.int64)
-    row[0] = first
-    if w == 1:
-        return row
-    u = (b * prev[:-1] + c * prev[1:]) % p
-    if a == 0:
-        row[1:] = u
-        return row
-    assert ainvpow is not None
-    t = (u * ainvpow[1:w]) % p
-    scaled = (first + np.cumsum(t)) % p
-    row[1:] = (scaled * apow[1:w]) % p
-    return row
+# Anti-diagonals computed between two write-backs to the window.
+_DIAGONAL_BLOCK = 64
 
 
 def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMatrix:
     """Materialize the corner recursion on a height x width window.
 
-    Each row is computed in int64 from the previous row and then stored
-    in the compact dtype; no int64 array the size of the window exists.
+    One anti-diagonal's cells D_d[i] = M[i, d - i] are independent, D_d[i]
+    = a*D_{d-1}[i] + c*D_{d-1}[i-1] + b*D_{d-2}[i-1] mod p with 0 outside
+    the quadrant: height + width - 1 numpy steps plus height * width cells
+    at one reduction each, in an unsigned dtype four times the storage
+    width (at most 8 bytes, so 3*(p-1)**2 fits for any p <= MAX_MODULUS),
+    written back in blocks as one run per row.  A tall window is built as
+    its transpose, so buffers span the shorter side.  Thin windows are
+    slow (1 x 2**20: 16 s, 0.1 s row by row); callers ask for squares.
     """
     check_cells(height, width, "window")
-    a, c, p = coeffs.a, coeffs.c, coeffs.p
-    m = np.empty((height, width), dtype=_storage_dtype(p))
-    apow = _powers(a, width, p)
-    cpow = _powers(c, height, p)
-    ainvpow = None
-    if a != 0 and height > 1 and width > 1:
-        ainvpow = _powers(pow(a, p - 2, p), width, p)
-    m[0, :] = row = apow
-    for i in range(1, height):
-        row = _next_row(row, int(cpow[i]), coeffs, apow, ainvpow)
-        m[i, :] = row
-    return ResidueMatrix(p, m)
+    if height > width:
+        return ResidueMatrix(coeffs.p, delannoy_matrix(
+            coeffs.transposed(), width, height).entries.T)
+    m = np.empty((height, width), dtype=_storage_dtype(coeffs.p))
+    wide = np.dtype(f"u{min(4 * m.itemsize, 8)}")
+    # As 0-d arrays the weights cost numpy no scalar conversion per step.
+    a, b, c, p = (np.array(v, dtype=wide) for v in astuple(coeffs))
+    # Row r: diagonal d = d0 - 2 + r, cell i at column i + 1; 0 for i<0, i>d.
+    diag = np.zeros((_DIAGONAL_BLOCK + 2, height + 1), dtype=wide)
+    acc, term = np.empty((2, height), dtype=wide)
+    diag[1, 1] = m[0, 0] = 1
+    for d0 in range(1, height + width - 1, _DIAGONAL_BLOCK):
+        stop = min(d0 + _DIAGONAL_BLOCK, height + width - 1)
+        for r, d in enumerate(range(d0, stop), start=2):
+            lo, hi = max(0, d - width + 1), min(d, height - 1) + 1
+            s, t = acc[:hi - lo], term[:hi - lo]
+            np.multiply(diag[r - 1, lo + 1:hi + 1], a, out=s)
+            s += np.multiply(diag[r - 1, lo:hi], c, out=t)
+            s += np.multiply(diag[r - 2, lo:hi], b, out=t)
+            # s % p as s - s // p * p: numpy's % by a scalar is 2x slower.
+            np.multiply(np.floor_divide(s, p, out=t), p, out=t)
+            np.subtract(s, t, out=diag[r, lo + 1:hi + 1])
+        # Rows [full_lo, full_hi) take the whole block; the edges cut the rest.
+        runs = stop - d0
+        rows_lo, rows_hi = max(0, d0 - width + 1), min(height, stop)
+        full_lo = max(rows_lo, stop - width)
+        full_hi = max(full_lo, min(rows_hi, d0 + 1))
+        runs_view = np.lib.stride_tricks.as_strided(
+            m.reshape(-1)[full_lo * (width - 1) + d0:],
+            (full_hi - full_lo, runs), ((width - 1) * m.itemsize, m.itemsize))
+        runs_view[...] = diag[2:runs + 2, full_lo + 1:full_hi + 1].T
+        for i in (*range(rows_lo, full_lo), *range(full_hi, rows_hi)):
+            j0, j1 = max(0, d0 - i), min(width, stop - i)
+            m[i, j0:j1] = diag[j0 + i - d0 + 2:j1 + i - d0 + 2, i + 1]
+        diag[:2] = diag[runs:runs + 2]
+    return ResidueMatrix(coeffs.p, m)
 
 
 def pascal_matrix(p: int, height: int, width: int) -> ResidueMatrix:

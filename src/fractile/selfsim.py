@@ -6,8 +6,9 @@ A matrix M of residues mod p is numerically p-self-similar when
 
 for all 0 <= s, t < p, all k >= 0, and all i, j < p^k.  The checker below
 verifies the congruence exhaustively over every exponent the window
-supports, so a single perturbed entry is always caught on power-of-p
-windows.  The lemma suite re-derives the boundary and cancellation
+supports.  It refuses windows of side below p^2; on any other, one
+perturbed entry inside the largest p-power square is caught unless
+a = b = c = 0.  The lemma suite re-derives the boundary and cancellation
 identities the congruence rests on, by brute force, as falsifiable checks.
 """
 
@@ -55,32 +56,45 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
 
     The exponent range is derived from the window: every k with
     p^(k+1) <= side is checked, so the report never silently under-checks.
-    The returned witness, if any, is the least in (k, s, t, i, j) order.
+    A window of side below p^2 is refused, since there the congruence
+    constrains at most M[0, 0].  Each level scales its unit block once per
+    residue M[s, t] takes, not once per block, and keeps one scaled block
+    at a time.  The returned witness, if any, is the least in
+    (k, s, t, i, j) order.
     """
     if matrix.height != matrix.width:
         raise ValueError("self-similarity check requires a square window")
     if matrix.modulus != p:
         raise ValueError("matrix modulus does not match the requested base")
     side = matrix.height
+    if side < p * p:
+        raise ValueError(f"window side {side} is below p^2 = {p * p}, where "
+                         "the congruence constrains at most M[0, 0]")
     ent = matrix.entries
     # Twice the storage width holds any product of two residues.
     wide = np.dtype(f"u{2 * ent.itemsize}")
     max_k = -1
     while p ** (max_k + 2) <= side:
         max_k += 1
+    scales = ent[:p, :p]
     for k in range(max_k + 1):
         w = p ** k
         unit = ent[:w, :w]
-        for s in range(p):
-            for t in range(p):
+        least = None  # witness in the least failing block so far
+        for v in np.unique(scales):
+            expected = np.multiply(unit, v, dtype=wide)
+            expected %= p
+            for s, t in zip(*np.nonzero(scales == v)):
+                if least is not None and (s, t) > (least.s, least.t):
+                    break
                 actual = ent[s * w:(s + 1) * w, t * w:(t + 1) * w]
-                expected = np.multiply(unit, int(ent[s, t]), dtype=wide)
-                expected %= p
                 if not np.array_equal(actual, expected):
-                    bad = np.argwhere(actual != expected)
-                    i, j = (int(v) for v in bad[0])
-                    return SelfSimReport(p, max_k, False,
-                                         Violation(s, t, k, i, j), side)
+                    i, j = np.argwhere(actual != expected)[0]
+                    least = Violation(int(s), int(t), k, int(i), int(j))
+                    break
+            del expected  # freed before the next residue's block is made
+        if least is not None:
+            return SelfSimReport(p, max_k, False, least, side)
     return SelfSimReport(p, max_k, True, None, side)
 
 

@@ -64,11 +64,13 @@ class LocalRule:
 
     `evaluate(west, south)` receives the west vector (westmost entry
     first, length n-1) and the south rows (the row directly below first,
-    n-1 rows of width n ending at the target column).
+    n-1 rows of width n ending at the target column).  A `range` of
+    nonnegative integers is a valid alphabet by construction and is not
+    walked, so a rule over p residues costs O(1) to build for any p.
     """
 
     n: int
-    alphabet: tuple
+    alphabet: tuple | range
     evaluate: Callable[[tuple, tuple], object]
     name: str = ""
 
@@ -77,6 +79,9 @@ class LocalRule:
             raise ValueError("window size must be at least 2")
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
+        if (isinstance(self.alphabet, range)
+                and min(self.alphabet[0], self.alphabet[-1]) >= 0):
+            return
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet symbols must be distinct")
         for s in self.alphabet:
@@ -189,7 +194,7 @@ def build_tile(rule: LocalRule, window: WindowContent,
 
 
 def _domain_windows(rule: LocalRule):
-    symbols = (BOTTOM,) + rule.alphabet
+    symbols = (BOTTOM, *rule.alphabet)
     n = rule.n
     for west in product(symbols, repeat=n - 1):
         for south in product(product(symbols, repeat=n), repeat=n - 1):
@@ -289,7 +294,7 @@ def delannoy_rule(coeffs: Coefficients) -> LocalRule:
             total += c * s
         return total % p
 
-    return LocalRule(2, tuple(range(p)), evaluate,
+    return LocalRule(2, range(p), evaluate,
                      name=f"corner-recursion-a{a}-b{b}-c{c}-mod{p}")
 
 

@@ -93,6 +93,16 @@ def test_selfsim_corrupt_outside_window_exits_2(capsys, cell):
     assert len(err) == 1 and "outside the 27x27 window" in err[0]
 
 
+@pytest.mark.parametrize("size", ["3", "24"])
+def test_selfsim_below_p_squared_exits_2(capsys, size):
+    assert run("selfsim", "--a", "1", "--b", "1", "--c", "1", "--p", "5",
+               "--size", size, "--corrupt", "1", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "below p^2 = 25" in err[0]
+
+
 def test_selfsim_corrupt_does_not_copy_the_window(capsys):
     argv = ["selfsim", *CARPET_FLAGS, "--size", "2187"]
     window_bytes = delannoy_matrix(Coefficients(1, 1, 1, 3),
@@ -138,6 +148,24 @@ def test_tileset_no_prune_count(tmp_path):
 def test_tileset_budget_error(tmp_path):
     assert run("tileset", "--a", "1", "--b", "1", "--c", "1", "--p", "3",
                "--no-prune", "--budget", "10") == 2
+
+
+@pytest.mark.parametrize("command", [["tileset"], ["verify", "--bound", "9"]])
+def test_largest_prime_meets_the_budget_without_listing_residues(
+        capsys, command):
+    tracemalloc.start()
+    try:
+        code = run(*command, "--a", "1", "--b", "1", "--c", "1",
+                   "--p", str(MAX_MODULUS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "over the budget" in err[0]
+    assert peak < 1_000_000  # a tuple of the p residues would take 17 GB
 
 
 def test_tileset_prune_flag_is_gone():

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractile import (BOTTOM, Coefficients, ResidueMatrix, closed_form,
@@ -13,9 +14,14 @@ from fractile.matrix import MAX_CELLS, MAX_MODULUS, PATH_ORACLE_LIMIT
 
 from conftest import SMALL_PRIMES, reference_corner_matrix
 
-coeff_sets = st.sampled_from(SMALL_PRIMES).flatmap(
-    lambda p: st.tuples(st.integers(0, p - 1), st.integers(0, p - 1),
-                        st.integers(0, p - 1), st.just(p)))
+
+def coeffs_over(primes):
+    return st.sampled_from(primes).flatmap(
+        lambda p: st.tuples(st.integers(0, p - 1), st.integers(0, p - 1),
+                            st.integers(0, p - 1), st.just(p)))
+
+
+coeff_sets = coeffs_over(SMALL_PRIMES)
 
 
 def test_delannoy_small_window_mod_101():
@@ -33,12 +39,36 @@ def test_first_row_is_geometric():
     assert m.entries.tolist() == [[1, 2, 4, 3]]
 
 
-@given(coeff_sets, st.integers(2, 12), st.integers(2, 12))
+# One prime per storage dtype, at both ends of uint8 and uint16.
+STORAGE_PRIMES = (2, 251, 257, 65521, 65537, MAX_MODULUS)
+# Sides up to 300 cross the edges of the generator's 64-diagonal blocks.
+sides = st.one_of(st.just(1), st.integers(1, 300))
+
+
+@given(coeffs_over(SMALL_PRIMES + STORAGE_PRIMES), sides, sides)
+@example((1, 1, 1, 2), 1, 300)
+@example((250, 249, 247, 251), 300, 1)
+@example((256, 3, 255, 257), 130, 300)
+@example((65520, 2, 65519, 65521), 300, 129)
+@example((65536, 65535, 3, 65537), 67, 300)
+@example((MAX_MODULUS - 2, MAX_MODULUS - 3, MAX_MODULUS - 5, MAX_MODULUS),
+         300, 65)
 def test_generator_matches_definitional_loop(coeffs, height, width):
     a, b, c, p = coeffs
     m = delannoy_matrix(Coefficients(a, b, c, p), height, width)
     assert m.entries.tolist() == reference_corner_matrix(a, b, c, p,
                                                          height, width)
+
+
+def test_tall_window_buffers_span_the_short_side():
+    tracemalloc.start()
+    try:
+        m = delannoy_matrix(Coefficients(1, 1, 1, 3), 4096, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.entries.tolist() == reference_corner_matrix(1, 1, 1, 3, 4096, 2)
+    assert peak < 200_000  # 66 diagonals of 4096 cells in uint32 take 1 MB
 
 
 @given(coeff_sets, st.integers(1, 20), st.integers(1, 20))

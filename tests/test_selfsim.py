@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -97,6 +98,48 @@ def test_single_cell_corruption_never_passes(p, data):
     y = data.draw(st.integers(0, side - 1))
     assert check_self_similarity(m, p).holds
     assert not check_self_similarity(_corrupt(m, x, y), p).holds
+
+
+def least_violation(ent, p):
+    """(k, s, t, i, j) of the least failing congruence, by brute force."""
+    side = len(ent)
+    k = 0
+    while p ** (k + 1) <= side:
+        w = p ** k
+        for s, t, i, j in product(range(p), range(p), range(w), range(w)):
+            if ent[s * w + i][t * w + j] != ent[s][t] * ent[i][j] % p:
+                return (k, s, t, i, j)
+        k += 1
+    return None
+
+
+@given(st.sampled_from([2, 3, 5]), st.data())
+@settings(max_examples=60)
+def test_witness_is_the_brute_force_least_violation(p, data):
+    a, b, c = (data.draw(st.integers(0, p - 1)) for _ in range(3))
+    side = data.draw(st.integers(p ** 2, p ** 3))
+    ent = np.array(delannoy_matrix(Coefficients(a, b, c, p), side, side).entries)
+    for _ in range(data.draw(st.integers(1, 3))):
+        x = data.draw(st.integers(0, side - 1))
+        y = data.draw(st.integers(0, side - 1))
+        ent[x, y] = (ent[x, y] + data.draw(st.integers(1, p - 1))) % p
+    report = check_self_similarity(ResidueMatrix(p, ent), p)
+    want = least_violation(ent.tolist(), p)
+    v = report.first_violation
+    got = None if v is None else (v.k, v.s, v.t, v.i, v.j)
+    assert got == want
+    assert report.holds == (want is None)
+
+
+@pytest.mark.parametrize("p, side", [(5, 3), (5, 24), (3, 8), (2, 3)])
+def test_windows_below_p_squared_are_refused(p, side):
+    # Below p^2 only level 0 fits, which relates M[s, t] to M[s, t] * M[0, 0].
+    with pytest.raises(ValueError, match=r"below p\^2"):
+        check_self_similarity(
+            delannoy_matrix(Coefficients(1, 1, 1, p), side, side), p)
+    report = check_self_similarity(
+        delannoy_matrix(Coefficients(1, 1, 1, p), p * p, p * p), p)
+    assert report.holds and report.max_k == 1
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
