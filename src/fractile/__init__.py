@@ -8,10 +8,9 @@ from .selfsim import (LemmaReport, SelfSimReport, check_lemmas,
 from .tam import (Assembly, Direction, DirectednessResult, TileSystem,
                   TileType, assemble_bounded, is_directed_empirically,
                   replay_is_valid)
-from .tilegen import (LocalRule, WindowContent, build_full_system,
-                      build_tile, carpet_system, delannoy_rule,
-                      horizon_is_stable, prune_reachable, rule_matrix,
-                      scan_windows, window_at)
+from .tilegen import (LocalRule, build_full_system, build_tile,
+                      carpet_system, delannoy_rule, horizon_is_stable,
+                      prune_reachable, rule_matrix, scan_windows, window_at)
 from .conformance import (ConformanceReport, InductionReport,
                           check_induction_clauses, verify_self_assembly)
 
@@ -25,7 +24,7 @@ __all__ = [
     "fractal_set",
     "Assembly", "Direction", "DirectednessResult", "TileSystem", "TileType",
     "assemble_bounded", "is_directed_empirically", "replay_is_valid",
-    "LocalRule", "WindowContent", "build_full_system", "build_tile",
+    "LocalRule", "build_full_system", "build_tile",
     "carpet_system", "delannoy_rule", "horizon_is_stable", "prune_reachable",
     "rule_matrix", "scan_windows", "window_at",
     "ConformanceReport", "InductionReport", "check_induction_clauses",

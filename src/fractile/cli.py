@@ -37,6 +37,8 @@ def cmd_selfsim(args) -> int:
     if corrupt is not None and not all(0 <= v < args.size for v in corrupt):
         raise ValueError(f"--corrupt cell {tuple(corrupt)} is outside the "
                          f"{args.size}x{args.size} window")
+    matrix.check_cells(args.size, args.size, "window")
+    selfsim.check_side(args.size, coeffs.p)
     m = matrix.delannoy_matrix(coeffs, args.size, args.size)
     if corrupt is not None:
         x, y = corrupt
@@ -226,9 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "tileset" and not args.carpet:
-        if None in (args.a, args.b, args.c, args.p):
+    if args.command == "tileset":
+        given = [v is not None for v in (args.a, args.b, args.c, args.p)]
+        if args.carpet and (any(given) or args.no_prune):
+            parser.error("--carpet takes none of --a --b --c --p --no-prune")
+        if not args.carpet and not all(given):
             parser.error("either --carpet or all of --a --b --c --p")
+        if args.budget < 1:
+            parser.error(f"--budget must be at least 1, got {args.budget}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import check_cells
-from .tam import (Assembly, Direction, Position, TileType, assemble_bounded,
+from .tam import (Assembly, Direction, Position, assemble_bounded,
                   first_divergence)
-from .tilegen import (LocalRule, WindowContent, build_full_system, build_tile,
-                      prune_reachable, rule_matrix, symbol_token, window_at)
+from .tilegen import (LocalRule, build_full_system, build_tile,
+                      prune_reachable, rule_matrix, scan_windows, symbol_token,
+                      window_at)
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,8 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
     (b) no placement has a negative coordinate; (c) tiles with an east
     strength of 2 sit in row 0; (d) tiles with a north strength of 2 sit
     in column 0; (e) each placed tile equals the compiled tile of the
-    matrix window at its position.
+    matrix window at its position.  One scan of the placements' bounding
+    box yields the expected labels and the windows compiled once each.
     """
     violations: dict[str, tuple[int, Position, str] | None] = {
         name: None for name in
@@ -168,9 +170,9 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
     positions = assembly.attachment_order
     max_x = max((x for x, _ in positions), default=0)
     max_y = max((y for _, y in positions), default=0)
-    expected = rule_matrix(rule, max(max_x + 1, rule.n), max(max_y + 1, rule.n))
-
-    tiles: dict[WindowContent, TileType] = {}  # one compiled tile per window
+    expected, windows = scan_windows(rule, max(max_x + 1, rule.n),
+                                     max(max_y + 1, rule.n))
+    tiles = {window: build_tile(rule, window) for window in windows}
 
     def record(name: str, step: int, pos: Position, detail: str) -> None:
         if violations[name] is None:
@@ -195,10 +197,7 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
         if tile.strength(Direction.N) == 2 and y != 0:
             record("north_strength2_in_col0", step, pos,
                    f"tile {tile.id} has a strength-2 north edge off column 0")
-        window = window_at(expected, x, y, rule.n)
-        want = tiles.get(window)
-        if want is None:
-            want = tiles[window] = build_tile(rule, window)
+        want = tiles[window_at(expected, x, y, rule.n)]
         if not tile.same_surface(want):
             record("tile_matches_window", step, pos,
                    f"placed tile {tile.id} ({tile.label}) differs from the "

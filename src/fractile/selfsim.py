@@ -51,6 +51,14 @@ class SelfSimReport:
         return lines
 
 
+def check_side(side: int, p: int) -> None:
+    """Refuse a window side below p^2; needs no window, so callers can
+    check before building one."""
+    if side < p * p:
+        raise ValueError(f"window side {side} is below p^2 = {p * p}, where "
+                         "the congruence constrains at most M[0, 0]")
+
+
 def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
     """Exhaustively verify the scaling congruence on a square window.
 
@@ -67,9 +75,7 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
     if matrix.modulus != p:
         raise ValueError("matrix modulus does not match the requested base")
     side = matrix.height
-    if side < p * p:
-        raise ValueError(f"window side {side} is below p^2 = {p * p}, where "
-                         "the congruence constrains at most M[0, 0]")
+    check_side(side, p)
     ent = matrix.entries
     # Twice the storage width holds any product of two residues.
     wide = np.dtype(f"u{2 * ent.itemsize}")

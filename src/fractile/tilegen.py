@@ -6,7 +6,10 @@ the n-1 rows of width n directly below, with ⊥ standing for positions
 outside the first quadrant.  Every window is compiled to one tile whose
 west/south glues spell the window and whose east/north glues spell the
 windows of the successor cells, so cooperative temperature-2 growth
-reproduces the matrix cell by cell from a single seed tile.
+reproduces the matrix cell by cell from a single seed tile.  A window
+is a plain (west, south) pair of symbol tuples: `window_at` reads one
+from a label grid, `scan_windows` collects them, and `build_tile`
+compiles one.
 
 Edge strengths are 1 except on the axes: the seed bonds eastward and
 northward at strength 2, first-row tiles bond east-west at strength 2,
@@ -91,32 +94,10 @@ class LocalRule:
             raise ValueError("alphabet symbols must serialize distinctly")
 
 
-@dataclass(frozen=True)
-class WindowContent:
-    """The inputs a rule sees when filling one cell."""
-
-    west: tuple
-    south: tuple
-
-    def __post_init__(self) -> None:
-        width = len(self.west) + 1
-        if len(self.south) != len(self.west):
-            raise ValueError("window must have n-1 west cells and n-1 south rows")
-        if any(len(row) != width for row in self.south):
-            raise ValueError("south rows must have width n")
-
-    @property
-    def west_all_bottom(self) -> bool:
-        return all(s is BOTTOM for s in self.west)
-
-    @property
-    def south_all_bottom(self) -> bool:
-        return all(s is BOTTOM for row in self.south for s in row)
-
-
-def _window(labels: Sequence[Sequence], x: int, y: int,
-            n: int) -> tuple[tuple, tuple]:
-    """Raw (west, south) at (x, y) read from a label grid; ⊥ off-quadrant."""
+def window_at(labels: Sequence[Sequence], x: int, y: int,
+              n: int) -> tuple[tuple, tuple]:
+    """The (west, south) window at (x, y) read from a label grid; ⊥
+    off-quadrant."""
 
     def get(i: int, j: int):
         if i < 0 or j < 0:
@@ -128,11 +109,6 @@ def _window(labels: Sequence[Sequence], x: int, y: int,
         tuple(get(x - i, y - n + 1 + m) for m in range(n))
         for i in range(1, n))
     return west, south
-
-
-def window_at(labels: Sequence[Sequence], x: int, y: int, n: int) -> WindowContent:
-    """Window contents at (x, y) read from a label grid; ⊥ off-quadrant."""
-    return WindowContent(*_window(labels, x, y, n))
 
 
 def scan_windows(rule: LocalRule, height: int,
@@ -148,7 +124,7 @@ def scan_windows(rule: LocalRule, height: int,
     windows: set = set()
     for x in range(height):
         for y in range(width):
-            window = _window(labels, x, y, rule.n)
+            window = window_at(labels, x, y, rule.n)
             windows.add(window)
             labels[x][y] = rule.evaluate(*window)
     return labels, windows
@@ -159,17 +135,20 @@ def rule_matrix(rule: LocalRule, height: int, width: int) -> list[list]:
     return scan_windows(rule, height, width)[0]
 
 
-def build_tile(rule: LocalRule, window: WindowContent,
+def build_tile(rule: LocalRule, window: tuple[tuple, tuple],
                tile_id: int = 0) -> TileType:
-    """Compile one window into a tile.
+    """Compile one (west, south) window into a tile.
 
     The west/south glues serialize the window itself; the east glue is
     the west vector shifted by the freshly computed cell, and the north
     glue is the south submatrix with the completed row pushed on top.
     """
-    if len(window.west) != rule.n - 1:
-        raise ValueError("window does not match the rule's window size")
-    west, south = window.west, window.south
+    west, south = window
+    n = rule.n
+    if (len(west) != n - 1 or len(south) != n - 1
+            or any(len(row) != n for row in south)):
+        raise ValueError("window must have n-1 west cells and n-1 south "
+                         "rows of width n")
     b = rule.evaluate(west, south)
     if b not in rule.alphabet:
         raise ValueError(f"rule produced {b!r}, which is not in its alphabet")
@@ -177,12 +156,14 @@ def build_tile(rule: LocalRule, window: WindowContent,
     completed_row = west + (b,)
     north_rows = (completed_row,) + south[:-1]
 
+    west_all_bottom = all(s is BOTTOM for s in west)
+    south_all_bottom = all(s is BOTTOM for row in south for s in row)
     strengths = {"W": 1, "S": 1, "E": 1, "N": 1}
-    if window.south_all_bottom and window.west_all_bottom:
+    if south_all_bottom and west_all_bottom:
         strengths["N"] = strengths["E"] = 2
-    elif window.south_all_bottom:
+    elif south_all_bottom:
         strengths["W"] = strengths["E"] = 2
-    elif window.west_all_bottom:
+    elif west_all_bottom:
         strengths["S"] = strengths["N"] = 2
 
     return TileType.make(
@@ -198,7 +179,7 @@ def _domain_windows(rule: LocalRule):
     n = rule.n
     for west in product(symbols, repeat=n - 1):
         for south in product(product(symbols, repeat=n), repeat=n - 1):
-            yield WindowContent(west, south)
+            yield west, south
 
 
 def build_full_system(rule: LocalRule, budget: int = 10 ** 6) -> TileSystem:

@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
-from fractile import (Assembly, Coefficients, ResidueMatrix, TileSystem,
-                      TileType, assemble_bounded, build_full_system,
-                      carpet_system, check_induction_clauses, check_lemmas,
+from fractile import (Coefficients, ResidueMatrix, TileSystem, TileType,
+                      assemble_bounded, build_full_system, carpet_system,
+                      check_induction_clauses, check_lemmas,
                       check_self_similarity, closed_form, delannoy_matrix,
                       delannoy_rule, fractal_set, is_directed_empirically,
                       pascal_matrix, path_cost_oracle, prune_reachable,
-                      rule_matrix, verify_self_assembly)
+                      verify_self_assembly)
 from fractile.formats import write_assembly
 
 CARPET = Coefficients(1, 1, 1, 3)

@@ -93,14 +93,26 @@ def test_selfsim_corrupt_outside_window_exits_2(capsys, cell):
     assert len(err) == 1 and "outside the 27x27 window" in err[0]
 
 
-@pytest.mark.parametrize("size", ["3", "24"])
-def test_selfsim_below_p_squared_exits_2(capsys, size):
-    assert run("selfsim", "--a", "1", "--b", "1", "--c", "1", "--p", "5",
-               "--size", size, "--corrupt", "1", "1") == 2
+@pytest.mark.parametrize("p,size,extra", [
+    pytest.param("5", "3", ("--corrupt", "1", "1"), id="3"),
+    pytest.param("5", "24", ("--corrupt", "1", "1"), id="24"),
+    pytest.param("127", "8000", (), id="p127-8000"),
+])
+def test_selfsim_below_p_squared_exits_2(capsys, p, size, extra):
+    tracemalloc.start()
+    try:
+        code = run("selfsim", "--a", "1", "--b", "1", "--c", "1", "--p", p,
+                   "--size", size, *extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    # refused before generating: an 8000^2 window holds 64 MB
+    assert peak < 2 ** 20
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
-    assert len(err) == 1 and "below p^2 = 25" in err[0]
+    assert len(err) == 1 and f"below p^2 = {int(p) ** 2}" in err[0]
 
 
 def test_selfsim_corrupt_does_not_copy_the_window(capsys):
@@ -515,7 +527,18 @@ def test_verify_negative_control_tileset(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
-def test_usage_errors_exit_2():
+@pytest.mark.parametrize("argv", [
+    ("matrix", "--a", "1", "--b", "1", "--c", "1", "--p", "3"),
+    ("tileset", "--carpet", "--p", "5"),
+    ("tileset", "--carpet", "--no-prune"),
+    ("tileset", "--a", "1", "--b", "1", "--c", "1"),
+    ("tileset", *CARPET_FLAGS, "--budget", "-1"),
+    ("tileset", *CARPET_FLAGS, "--budget", "0"),
+], ids=["matrix-no-size", "carpet-with-p", "carpet-no-prune", "missing-p",
+        "budget-negative", "budget-zero"])
+def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        run("matrix", "--a", "1", "--b", "1", "--c", "1", "--p", "3")
+        run(*argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err

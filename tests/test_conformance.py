@@ -1,9 +1,9 @@
 import pytest
 
 from fractile import (Assembly, Coefficients, LocalRule, TileSystem, TileType,
-                      assemble_bounded, carpet_system, check_induction_clauses,
-                      delannoy_rule, fractal_set, delannoy_matrix,
-                      rule_matrix, verify_self_assembly)
+                      assemble_bounded, build_full_system, carpet_system,
+                      check_induction_clauses, delannoy_rule, fractal_set,
+                      delannoy_matrix, prune_reachable, verify_self_assembly)
 
 from conftest import window_sum_rule
 
@@ -43,7 +43,6 @@ def test_window_sum_rule_self_assembles():
     (window_sum_rule, 5),
 ])
 def test_unpruned_construction_reproduces_the_matrix(make_rule, bound):
-    from fractile import build_full_system
     rule = make_rule()
     system = build_full_system(rule)
     report = verify_self_assembly(rule, (bound, bound), trials=2,
@@ -122,6 +121,24 @@ def test_transplanted_tile_trips_window_clause(carpet):
     assert not clause.holds
     step, pos, detail = clause.violation
     assert pos == (4, 4) and asm.attachment_order[step] == (4, 4)
+
+
+def test_induction_clauses_replay_an_n3_rule():
+    # n = 3 windows are two cells thick on each side of the cell
+    rule = window_sum_rule()
+    system = prune_reachable(build_full_system(rule), rule, (9, 9))
+    asm = assemble_bounded(system, (9, 9), 5)
+    assert len(asm) == 81
+    assert check_induction_clauses(asm, rule).all_hold
+    wrong = next(t for t in system.tiles
+                 if not t.same_surface(asm.placements[(5, 6)]))
+    asm.placements[(5, 6)] = wrong
+    clause = {c.name: c for c in check_induction_clauses(asm, rule).clauses
+              }["tile_matches_window"]
+    assert not clause.holds
+    step, pos, detail = clause.violation
+    assert pos == (5, 6) and asm.attachment_order[step] == (5, 6)
+    assert f"placed tile {wrong.id} " in detail
 
 
 def test_gap_in_growth_trips_downward_closure(carpet):

@@ -1,16 +1,14 @@
 import hashlib
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractile import (BOTTOM, Coefficients, Direction, LocalRule,
-                      WindowContent, assemble_bounded, build_full_system,
-                      build_tile, carpet_system, delannoy_matrix,
-                      delannoy_rule, horizon_is_stable, prune_reachable,
-                      rule_matrix, window_at)
+                      assemble_bounded, build_full_system, build_tile,
+                      delannoy_matrix, delannoy_rule, horizon_is_stable,
+                      prune_reachable, rule_matrix, window_at)
 from fractile.formats import write_tileset
 from fractile.tilegen import glue_rows, glue_vector, symbol_token
 
@@ -48,21 +46,12 @@ def test_local_rule_validation():
         LocalRule(2, ("a b",), lambda w, s: "a b")
 
 
-def test_window_content_validation():
-    with pytest.raises(ValueError):
-        WindowContent((1,), ((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
-        WindowContent((1,), ((1, 2, 3),))
-
-
 def test_window_extraction_orientation():
     labels = [[11, 12, 13], [21, 22, 23], [31, 32, 33]]
-    w = window_at(labels, 2, 2, 3)
-    assert w.west == (31, 32)
-    assert w.south == ((21, 22, 23), (11, 12, 13))
-    corner = window_at(labels, 0, 0, 3)
-    assert corner.west == (BOTTOM, BOTTOM)
-    assert corner.south_all_bottom
+    assert window_at(labels, 2, 2, 3) == ((31, 32),
+                                          ((21, 22, 23), (11, 12, 13)))
+    assert window_at(labels, 0, 0, 3) == ((BOTTOM, BOTTOM),
+                                          ((BOTTOM,) * 3, (BOTTOM,) * 3))
 
 
 @pytest.mark.parametrize("coeffs,size", [
@@ -88,7 +77,7 @@ def test_window_sum_rule_matrix_hand_values():
 
 
 def test_build_tile_seed(carpet_rule):
-    tile = build_tile(carpet_rule, WindowContent((BOTTOM,), ((BOTTOM, BOTTOM),)))
+    tile = build_tile(carpet_rule, ((BOTTOM,), ((BOTTOM, BOTTOM),)))
     assert tile.label == "1"
     assert (tile.color(E), tile.strength(E)) == ("1", 2)
     assert (tile.color(N), tile.strength(N)) == ("(_,1)", 2)
@@ -97,7 +86,7 @@ def test_build_tile_seed(carpet_rule):
 
 
 def test_build_tile_first_row(carpet_rule):
-    tile = build_tile(carpet_rule, WindowContent((1,), ((BOTTOM, BOTTOM),)))
+    tile = build_tile(carpet_rule, ((1,), ((BOTTOM, BOTTOM),)))
     assert tile.label == "1"
     assert (tile.color(W), tile.strength(W)) == ("1", 2)
     assert (tile.color(E), tile.strength(E)) == ("1", 2)
@@ -105,7 +94,7 @@ def test_build_tile_first_row(carpet_rule):
 
 
 def test_build_tile_first_column(carpet_rule):
-    tile = build_tile(carpet_rule, WindowContent((BOTTOM,), ((BOTTOM, 1),)))
+    tile = build_tile(carpet_rule, ((BOTTOM,), ((BOTTOM, 1),)))
     assert tile.label == "1"
     assert (tile.color(S), tile.strength(S)) == ("(_,1)", 2)
     assert (tile.color(N), tile.strength(N)) == ("(_,1)", 2)
@@ -113,7 +102,7 @@ def test_build_tile_first_column(carpet_rule):
 
 
 def test_build_tile_interior(carpet_rule):
-    tile = build_tile(carpet_rule, WindowContent((1,), ((0, 2),)))
+    tile = build_tile(carpet_rule, ((1,), ((0, 2),)))
     assert tile.label == "0"
     assert tile.colors == ("1", "(0,2)", "0", "(1,0)")
     assert tile.strengths == (1, 1, 1, 1)
@@ -256,15 +245,20 @@ def test_strength_2_tiles_stay_on_their_axes(carpet):
             assert y == 0
 
 
-def test_build_tile_rejects_mismatched_window(carpet_rule):
+@pytest.mark.parametrize("window", [
+    ((1, 2), ((0, 1, 2), (0, 1, 2))),
+    ((1,), ((1, 2), (3, 4))),
+    ((1,), ((1, 2, 3),)),
+], ids=["n3-window", "two-south-rows", "south-row-too-wide"])
+def test_build_tile_rejects_mismatched_window(carpet_rule, window):
     with pytest.raises(ValueError):
-        build_tile(carpet_rule, WindowContent((1, 2), ((0, 1, 2), (0, 1, 2))))
+        build_tile(carpet_rule, window)
 
 
 def test_rule_evaluation_must_stay_in_alphabet():
     bad = LocalRule(2, (0, 1), lambda west, south: 7)
     with pytest.raises(ValueError):
-        build_tile(bad, WindowContent((0,), ((0, 0),)))
+        build_tile(bad, ((0,), ((0, 0),)))
 
 
 # SHA-256 of the pruned tileset file and the stability verdict, recorded
@@ -290,7 +284,7 @@ def test_pruned_tileset_digest_pins(make_rule, side, count, digest):
 
 def reference_per_cell_windows(labels, n):
     """Per-cell loop: serialized window keys of every cell."""
-    return {(glue_vector(w.west), glue_rows(w.south))
+    return {(glue_vector(w[0]), glue_rows(w[1]))
             for w in (window_at(labels, x, y, n)
                       for x in range(len(labels))
                       for y in range(len(labels[0])))}
