@@ -2,16 +2,18 @@
 
 Subcommands: matrix, selfsim, tileset, simulate, render, verify.
 Exit codes: 0 on success, 1 when a verified property fails, 2 for
-usage or input errors.
+usage or input errors.  Only matrix, selfsim, render and simulate --image
+load numpy; a module that one command alone uses is imported by it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from . import conformance, formats, matrix, selfsim, tam, tilegen
+from . import formats, matrix, tam, tilegen
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -37,6 +39,7 @@ def cmd_selfsim(args) -> int:
     if corrupt is not None and not all(0 <= v < args.size for v in corrupt):
         raise ValueError(f"--corrupt cell {tuple(corrupt)} is outside the "
                          f"{args.size}x{args.size} window")
+    from . import selfsim
     matrix.check_cells(args.size, args.size, "window")
     selfsim.check_side(args.size, coeffs.p)
     m = matrix.delannoy_matrix(coeffs, args.size, args.size)
@@ -61,7 +64,8 @@ def cmd_tileset(args) -> int:
         system = tilegen.carpet_system()
     else:
         rule = _rule_from_args(args)
-        system = tilegen.build_full_system(rule, budget=args.budget)
+        budget = {} if args.budget is None else {"budget": args.budget}
+        system = tilegen.build_full_system(rule, **budget)
         if not args.no_prune:
             # Windows mentioning ⊥ hold row 0 (a^j) and column 0 (c^i); a
             # unit's powers all occur among its first p - 1, and a = 0 gives
@@ -75,6 +79,7 @@ def cmd_tileset(args) -> int:
 def cmd_simulate(args) -> int:
     if len(args.bound) > 2:
         raise ValueError(f"--bound takes 1 or 2 values, got {len(args.bound)}")
+    spec = _render_spec(args)
     text = Path(args.tileset).read_text()
     system = formats.parse_tileset(text)
     bound = (args.bound[0], args.bound[-1])
@@ -84,8 +89,7 @@ def cmd_simulate(args) -> int:
         grid = formats.assembly_value_grid(
             {pos: (t.id, t.label) for pos, t in assembly.placements.items()},
             bound)
-        spec = _render_spec(args, grid, _label_modulus(grid))
-        Path(args.image).write_bytes(formats.render_cells(grid, spec))
+        _render(args.image, grid, _label_modulus(grid), spec)
     if len(assembly) < bound[0] * bound[1]:
         print(f"assembly stalled at {len(assembly)} of "
               f"{bound[0] * bound[1]} cells", file=sys.stderr)
@@ -93,13 +97,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _render_spec(args, values, modulus: int) -> formats.RenderSpec:
-    if args.palette is not None:
-        palette = formats.parse_palette(args.palette)
-    else:
-        palette = formats.default_palette(values, modulus, not args.zero_color)
-    return formats.RenderSpec(palette=palette, cell_size=args.cell_size,
-                              zero_as_background=not args.zero_color)
+def _render_spec(args) -> formats.RenderSpec:
+    """The render flags, checked before any work; an empty palette stands
+    for the default one, which depends on the values rendered."""
+    palette = ({} if args.palette is None
+               else formats.parse_palette(args.palette))
+    return formats.RenderSpec(palette, args.cell_size, not args.zero_color)
+
+
+def _render(path: str, values, modulus: int, spec: formats.RenderSpec) -> None:
+    palette = spec.palette or formats.default_palette(
+        values, modulus, spec.zero_as_background)
+    Path(path).write_bytes(
+        formats.render_cells(values, replace(spec, palette=palette)))
 
 
 def _label_modulus(grid) -> int:
@@ -108,25 +118,26 @@ def _label_modulus(grid) -> int:
 
 
 def cmd_render(args) -> int:
+    spec = _render_spec(args)
     text = Path(args.source).read_text()
     header, _ = formats.split_header(text)
     if header == formats.GRID_HEADER:
         m = formats.parse_grid(text)
-        values = m.entries
-        spec = _render_spec(args, values, m.modulus)
+        values, modulus = m.entries, m.modulus
     elif header == formats.ASSEMBLY_HEADER:
         bound, placements = formats.parse_assembly(text)
         values = formats.assembly_value_grid(placements, bound)
-        spec = _render_spec(args, values, _label_modulus(values))
+        modulus = _label_modulus(values)
     else:
         raise formats.FormatError(
             f"source must start with '{formats.GRID_HEADER}' or "
             f"'{formats.ASSEMBLY_HEADER}'")
-    Path(args.out).write_bytes(formats.render_cells(values, spec))
+    _render(args.out, values, modulus, spec)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import conformance
     rule = _rule_from_args(args)
     system = None
     if args.tileset is not None:
@@ -187,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the explicit 30-tile carpet system")
     p.add_argument("--no-prune", action="store_true",
                    help="keep every tile of the full construction")
-    p.add_argument("--budget", type=int, default=10 ** 6,
-                   help="maximum number of windows to compile")
+    p.add_argument("--budget", type=int, default=None,
+                   help="maximum number of windows to compile (default 10^6)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_tileset)
 
@@ -230,11 +241,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "tileset":
         given = [v is not None for v in (args.a, args.b, args.c, args.p)]
-        if args.carpet and (any(given) or args.no_prune):
-            parser.error("--carpet takes none of --a --b --c --p --no-prune")
+        if args.carpet and (any(given) or args.no_prune
+                            or args.budget is not None):
+            parser.error("--carpet takes none of --a --b --c --p --no-prune "
+                         "--budget")
         if not args.carpet and not all(given):
             parser.error("either --carpet or all of --a --b --c --p")
-        if args.budget < 1:
+        if args.budget is not None and args.budget < 1:
             parser.error(f"--budget must be at least 1, got {args.budget}")
     try:
         return args.func(args)

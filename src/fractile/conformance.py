@@ -46,7 +46,9 @@ class ConformanceReport:
             pos, expected, observed = self.mismatch
             lines.append(f"labels: MISMATCH at {pos}: expected {expected}, "
                          f"observed {observed if observed is not None else 'nothing'}")
-        if self.directed:
+        if self.trials == 1:
+            lines.append("directedness: not compared (one trial)")
+        elif self.directed:
             lines.append("directedness: all trials placed identical tiles")
         else:
             pos, a, b = self.directedness_witness

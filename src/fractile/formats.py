@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import colorsys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .matrix import ResidueMatrix, check_cells
 from .tam import Assembly, Direction, Position, TileSystem, TileType
+
+if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
+    import numpy as np
 
 GRID_HEADER = "grid v1"
 TILESET_HEADER = "tileset v1"
@@ -96,6 +98,7 @@ def write_grid(matrix: ResidueMatrix) -> str:
 
 
 def parse_grid(text: str) -> ResidueMatrix:
+    import numpy as np
     lines = _body(text, GRID_HEADER)
     try:
         height, width, modulus = (int(v) for v in lines[0].split())
@@ -244,6 +247,7 @@ def default_palette(values, modulus: int,
     is white when treated as background, otherwise it joins the hue wheel
     with the nonzero residues.
     """
+    import numpy as np
     palette: dict[int, RGB] = {}
     start = 1 if zero_as_background else 0
     count = modulus - start
@@ -284,6 +288,7 @@ def render_cells(values: np.ndarray, spec: RenderSpec) -> bytes:
     Matrix row 0 becomes the bottom row of the image.  Cells holding -1
     (unplaced positions in a partial assembly) render as white.
     """
+    import numpy as np
     values = np.asarray(values)
     check_cells(values.shape[0] * spec.cell_size,
                 values.shape[1] * spec.cell_size, "pixmap")
@@ -306,6 +311,7 @@ def render_cells(values: np.ndarray, spec: RenderSpec) -> bytes:
 def assembly_value_grid(placements: dict[Position, tuple[int, str]],
                         bound: tuple[int, int]) -> np.ndarray:
     """Labels of a placement map as integers; unplaced cells become -1."""
+    import numpy as np
     height, width = bound
     check_cells(height, width, "bound")
     grid = np.full((height, width), -1, dtype=np.int64)

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
+    import numpy as np
 
 
 class _Bottom:
@@ -72,6 +74,7 @@ def _storage_dtype(modulus: int) -> np.dtype:
     Products of stored residues can: arithmetic on them is done in a
     wider dtype.
     """
+    import numpy as np
     for dtype in (np.uint8, np.uint16):
         if modulus <= np.iinfo(dtype).max:
             return np.dtype(dtype)
@@ -136,6 +139,7 @@ class ResidueMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
         if self.modulus > MAX_MODULUS:
@@ -184,6 +188,7 @@ def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMat
     its transpose, so buffers span the shorter side.  Thin windows are
     slow (1 x 2**20: 16 s, 0.1 s row by row); callers ask for squares.
     """
+    import numpy as np
     check_cells(height, width, "window")
     if height > width:
         return ResidueMatrix(coeffs.p, delannoy_matrix(

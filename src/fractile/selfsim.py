@@ -15,11 +15,12 @@ identities the congruence rests on, by brute force, as falsifiable checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .matrix import Coefficients, ResidueMatrix, delannoy_matrix
+
+if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
     at a time.  The returned witness, if any, is the least in
     (k, s, t, i, j) order.
     """
+    import numpy as np
     if matrix.height != matrix.width:
         raise ValueError("self-similarity check requires a square window")
     if matrix.modulus != p:
@@ -134,6 +136,7 @@ class LemmaReport:
 
 
 def _first_bad(mask: np.ndarray) -> tuple | None:
+    import numpy as np
     bad = np.argwhere(~mask)
     if bad.size == 0:
         return None
@@ -163,6 +166,7 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     and give block indices (s, t) in the matrix's own frame.  Only the
     row slices that enter products are upcast to int64, never the window.
     """
+    import numpy as np
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     p = coeffs.p
@@ -243,6 +247,7 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
 
 def fractal_set(matrix: ResidueMatrix, keep: Iterable[int]) -> set[tuple[int, int]]:
     """Coordinates whose entry lies in `keep` (a subset of the residues)."""
+    import numpy as np
     keep = set(keep)
     if not keep:
         return set()

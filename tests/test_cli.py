@@ -1,8 +1,12 @@
 import hashlib
+import io
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fractile.matrix
 from fractile import (Coefficients, ResidueMatrix, assemble_bounded,
@@ -255,6 +259,22 @@ def test_simulate_bound_takes_one_or_two_values(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--cell-size", "0"), ("--palette", "0=1,2"), ("--palette", "0=300,0,0")],
+    ids=["cell-size-zero", "palette-malformed", "palette-out-of-range"])
+def test_simulate_checks_render_flags_before_growing(tmp_path, capsys, flags):
+    tiles = tmp_path / "carpet.tiles"
+    run("tileset", "--carpet", "--out", str(tiles))
+    image, dump = tmp_path / "x.ppm", tmp_path / "a.dump"
+    for out in ((), ("--out", str(dump))):
+        assert run("simulate", "--tileset", str(tiles), "--bound", "9",
+                   "--image", str(image), *out, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not dump.exists() and not image.exists()
+
+
 def test_simulate_rejects_malformed_tileset(tmp_path):
     bad = tmp_path / "bad.tiles"
     bad.write_text("tileset v1\ntemperature 2\nseed 0 0 0\ntile 0 x W\n")
@@ -505,6 +525,16 @@ def test_verify_carpet(capsys):
     assert "match the rule matrix" in out
 
 
+def test_verify_compares_directedness_only_across_trials(capsys):
+    argv = ("verify", *CARPET_FLAGS, "--bound", "9", "--trials")
+    assert run(*argv, "1") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "directedness: not compared (one trial)"
+    assert run(*argv, "5") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "directedness: all trials placed identical tiles"
+
+
 def test_verify_lax_agrees(capsys):
     assert run("verify", "--a", "1", "--b", "1", "--c", "1", "--p", "3",
                "--bound", "27", "--trials", "3", "--lax") == 0
@@ -534,11 +564,105 @@ def test_verify_negative_control_tileset(tmp_path, capsys):
     ("tileset", "--a", "1", "--b", "1", "--c", "1"),
     ("tileset", *CARPET_FLAGS, "--budget", "-1"),
     ("tileset", *CARPET_FLAGS, "--budget", "0"),
+    ("tileset", "--carpet", "--budget", "5"),
 ], ids=["matrix-no-size", "carpet-with-p", "carpet-no-prune", "missing-p",
-        "budget-negative", "budget-zero"])
+        "budget-negative", "budget-zero", "carpet-with-budget"])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    """Every kind of path a command may be handed: each format, garbage,
+    binary bytes, a directory and a missing file."""
+    root = tmp_path_factory.mktemp("inputs")
+    carpet = carpet_system()
+    texts = {
+        "tileset": formats.write_tileset(carpet),
+        "grid": formats.write_grid(
+            delannoy_matrix(Coefficients(1, 1, 1, 3), 9, 9)),
+        "assembly": formats.write_assembly(
+            assemble_bounded(carpet, (9, 9), 0), (9, 9)),
+        "garbage": "who knows\n",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    (root / "binary").write_bytes(bytes(range(256)))
+    (root / "directory").mkdir()
+    names = (*texts, "binary", "directory", "missing")
+    return {name: str(root / name) for name in names}, str(root / "out")
+
+
+SMALL = st.integers(-3, 27).map(str)
+COEFFICIENT = st.integers(-1, 8).map(str)
+# half of the draws are primes, so that commands get past their checks
+MODULUS = st.one_of(
+    st.sampled_from(["2", "3", "5", "7"]),
+    st.sampled_from(["-3", "0", "1", "4", "9", str(MAX_MODULUS)]))
+PALETTE = st.sampled_from(["0=255,255,255;1=0,0,0;2=9,9,9", "0=1,2",
+                           "0=300,0,0", ""])
+
+
+@st.composite
+def command_argv(draw, paths, out):
+    def maybe(*tokens):
+        return [draw(t) if isinstance(t, st.SearchStrategy) else t
+                for t in tokens] if draw(st.booleans()) else []
+
+    def path(kind):  # the right kind of file half of the time
+        return draw(st.one_of(st.just(paths[kind]),
+                              st.sampled_from(sorted(paths.values()))))
+
+    coefficients = ["--a", draw(COEFFICIENT), "--b", draw(COEFFICIENT),
+                    "--c", draw(COEFFICIENT), "--p", draw(MODULUS)]
+    render = [*maybe("--cell-size", st.integers(-1, 3).map(str)),
+              *maybe("--palette", PALETTE), *maybe("--zero-color")]
+    command = draw(st.sampled_from(
+        ["matrix", "selfsim", "tileset", "simulate", "render", "verify"]))
+    if command == "matrix":
+        return [command, *coefficients, "--size", draw(SMALL),
+                *maybe("--out", out)]
+    if command == "selfsim":
+        return [command, *coefficients, "--size", draw(SMALL),
+                *maybe("--corrupt", SMALL, SMALL)]
+    if command == "tileset":
+        return [command, *maybe("--carpet"), *maybe(*coefficients),
+                *maybe("--no-prune"),
+                *maybe("--budget", st.integers(-1, 10 ** 6).map(str)),
+                "--out", out]
+    if command == "simulate":
+        return [command, "--tileset", path("tileset"), "--bound",
+                *draw(st.lists(SMALL, min_size=1, max_size=3)),
+                *maybe("--seed", SMALL), *maybe("--lax"),
+                *maybe("--out", out), *maybe("--image", out + ".ppm"),
+                *render]
+    if command == "render":
+        kind = draw(st.sampled_from(["grid", "assembly"]))
+        return [command, path(kind), "--out", out + ".ppm", *render]
+    return [command, *coefficients, "--bound", draw(SMALL),
+            *maybe("--trials", st.integers(-1, 3).map(str)),
+            *maybe("--lax"), *maybe("--tileset", path("tileset"))]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_every_command_exits_0_1_or_2(input_paths, data):
+    argv = data.draw(command_argv(*input_paths))
+    out, err = io.StringIO(), io.StringIO()
+    usage_error = False
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code, usage_error = exc.code, True
+    assert code in (0, 1, 2)
+    if code == 2:
+        *usage, error = err.getvalue().splitlines()
+        assert "error: " in error
+        # argparse prints its usage text before a usage error's one line
+        assert bool(usage) == usage_error
+        assert not usage or usage[0].startswith("usage: ")
