@@ -38,8 +38,9 @@ class ConformanceReport:
         return self.matches and self.directed
 
     def to_lines(self) -> list[str]:
+        trials = "1 trial" if self.trials == 1 else f"{self.trials} trials"
         lines = [f"system {self.system_id} on "
-                 f"{self.bound[0]}x{self.bound[1]}, {self.trials} trials"]
+                 f"{self.bound[0]}x{self.bound[1]}, {trials}"]
         if self.matches:
             lines.append("labels: match the rule matrix at every cell")
         else:

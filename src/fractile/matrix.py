@@ -67,18 +67,17 @@ def check_cells(height: int, width: int, what: str) -> None:
                          f"{MAX_CELLS} cells")
 
 
-def _storage_dtype(modulus: int) -> np.dtype:
-    """Smallest unsigned dtype that holds the modulus itself.
+def _uint_holding(bound: int) -> np.dtype:
+    """Smallest unsigned dtype that holds `bound` (at most 2**64 - 1).
 
-    Since p itself fits, (v + 1) % p on a stored residue cannot wrap.
-    Products of stored residues can: arithmetic on them is done in a
-    wider dtype.
+    Storage takes bound = p, so (v + 1) % p on a stored residue cannot
+    wrap; arithmetic takes the largest value it forms before reducing.
     """
     import numpy as np
-    for dtype in (np.uint8, np.uint16):
-        if modulus <= np.iinfo(dtype).max:
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max:
             return np.dtype(dtype)
-    return np.dtype(np.uint32)  # holds MAX_MODULUS
+    return np.dtype(np.uint64)  # holds 3*(p-1)**2 for p <= MAX_MODULUS
 
 
 def is_prime(n: int) -> bool:
@@ -151,7 +150,7 @@ class ResidueMatrix:
         # Range-checked in the input's own dtype, before the cast can wrap.
         if ent.min() < 0 or int(ent.max()) >= self.modulus:
             raise ValueError("entries must lie in [0, modulus)")
-        ent = np.ascontiguousarray(ent, dtype=_storage_dtype(self.modulus))
+        ent = np.ascontiguousarray(ent, dtype=_uint_holding(self.modulus))
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
@@ -173,7 +172,7 @@ class ResidueMatrix:
 
 
 # Anti-diagonals computed between two write-backs to the window.
-_DIAGONAL_BLOCK = 64
+_DIAGONAL_BLOCK = 128
 
 
 def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMatrix:
@@ -182,19 +181,20 @@ def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMat
     One anti-diagonal's cells D_d[i] = M[i, d - i] are independent, D_d[i]
     = a*D_{d-1}[i] + c*D_{d-1}[i-1] + b*D_{d-2}[i-1] mod p with 0 outside
     the quadrant: height + width - 1 numpy steps plus height * width cells
-    at one reduction each, in an unsigned dtype four times the storage
-    width (at most 8 bytes, so 3*(p-1)**2 fits for any p <= MAX_MODULUS),
-    written back in blocks as one run per row.  A tall window is built as
-    its transpose, so buffers span the shorter side.  Thin windows are
-    slow (1 x 2**20: 16 s, 0.1 s row by row); callers ask for squares.
+    at one reduction each, in the smallest unsigned dtype that holds
+    3*(p-1)**2, the largest unreduced a*x + b*y + c*z (uint8 for p <= 7,
+    uint64 only above 37831), written back in blocks as one run per row.
+    A tall window is built as its transpose, so buffers span the shorter
+    side.  Thin windows are slow (1 x 2**20: 16 s, 0.1 s row by row);
+    callers ask for squares.
     """
     import numpy as np
     check_cells(height, width, "window")
     if height > width:
         return ResidueMatrix(coeffs.p, delannoy_matrix(
             coeffs.transposed(), width, height).entries.T)
-    m = np.empty((height, width), dtype=_storage_dtype(coeffs.p))
-    wide = np.dtype(f"u{min(4 * m.itemsize, 8)}")
+    m = np.empty((height, width), dtype=_uint_holding(coeffs.p))
+    wide = _uint_holding(3 * (coeffs.p - 1) ** 2)
     # As 0-d arrays the weights cost numpy no scalar conversion per step.
     a, b, c, p = (np.array(v, dtype=wide) for v in astuple(coeffs))
     # Row r: diagonal d = d0 - 2 + r, cell i at column i + 1; 0 for i<0, i>d.
@@ -209,7 +209,7 @@ def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMat
             np.multiply(diag[r - 1, lo + 1:hi + 1], a, out=s)
             s += np.multiply(diag[r - 1, lo:hi], c, out=t)
             s += np.multiply(diag[r - 2, lo:hi], b, out=t)
-            # s % p as s - s // p * p: numpy's % by a scalar is 2x slower.
+            # s % p as s - s // p * p: numpy's % by a scalar is 8-25x slower.
             np.multiply(np.floor_divide(s, p, out=t), p, out=t)
             np.subtract(s, t, out=diag[r, lo + 1:hi + 1])
         # Rows [full_lo, full_hi) take the whole block; the edges cut the rest.

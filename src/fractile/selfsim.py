@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .matrix import Coefficients, ResidueMatrix, delannoy_matrix
+from .matrix import (Coefficients, ResidueMatrix, _uint_holding,
+                     delannoy_matrix)
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
     import numpy as np
@@ -79,8 +80,8 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
     side = matrix.height
     check_side(side, p)
     ent = matrix.entries
-    # Twice the storage width holds any product of two residues.
-    wide = np.dtype(f"u{2 * ent.itemsize}")
+    # Holds any product of two residues: uint8 for p <= 13.
+    wide = _uint_holding((p - 1) ** 2)
     max_k = -1
     while p ** (max_k + 2) <= side:
         max_k += 1
@@ -91,7 +92,9 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
         least = None  # witness in the least failing block so far
         for v in np.unique(scales):
             expected = np.multiply(unit, v, dtype=wide)
-            expected %= p
+            # expected % p as e - e // p * p, as delannoy_matrix reduces.
+            q = expected // p
+            expected -= np.multiply(q, p, out=q)
             for s, t in zip(*np.nonzero(scales == v)):
                 if least is not None and (s, t) > (least.s, least.t):
                     break
@@ -100,7 +103,7 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
                     i, j = np.argwhere(actual != expected)[0]
                     least = Violation(int(s), int(t), k, int(i), int(j))
                     break
-            del expected  # freed before the next residue's block is made
+            del expected, q  # freed before the next residue's blocks are made
         if least is not None:
             return SelfSimReport(p, max_k, False, least, side)
     return SelfSimReport(p, max_k, True, None, side)

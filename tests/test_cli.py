@@ -529,9 +529,11 @@ def test_verify_compares_directedness_only_across_trials(capsys):
     argv = ("verify", *CARPET_FLAGS, "--bound", "9", "--trials")
     assert run(*argv, "1") == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" on 9x9, 1 trial")
     assert lines[-1] == "directedness: not compared (one trial)"
     assert run(*argv, "5") == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" on 9x9, 5 trials")
     assert lines[-1] == "directedness: all trials placed identical tiles"
 
 

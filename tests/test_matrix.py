@@ -41,11 +41,19 @@ def test_first_row_is_geometric():
 
 # One prime per storage dtype, at both ends of uint8 and uint16.
 STORAGE_PRIMES = (2, 251, 257, 65521, 65537, MAX_MODULUS)
-# Sides up to 300 cross the edges of the generator's 64-diagonal blocks.
+# Sides up to 300 cross the edges of the generator's 128-diagonal blocks.
 sides = st.one_of(st.just(1), st.integers(1, 300))
 
 
+# The examples up to 37847 sit at both ends of each arithmetic dtype, the
+# smallest that holds 3*(p-1)**2.
 @given(coeffs_over(SMALL_PRIMES + STORAGE_PRIMES), sides, sides)
+@example((6, 5, 4, 7), 300, 129)
+@example((10, 9, 8, 11), 130, 300)
+@example((138, 137, 136, 139), 300, 129)
+@example((148, 147, 146, 149), 130, 300)
+@example((37830, 37829, 37828, 37831), 300, 129)
+@example((37846, 37845, 37844, 37847), 130, 300)
 @example((1, 1, 1, 2), 1, 300)
 @example((250, 249, 247, 251), 300, 1)
 @example((256, 3, 255, 257), 130, 300)
@@ -68,7 +76,22 @@ def test_tall_window_buffers_span_the_short_side():
     finally:
         tracemalloc.stop()
     assert m.entries.tolist() == reference_corner_matrix(1, 1, 1, 3, 4096, 2)
-    assert peak < 200_000  # 66 diagonals of 4096 cells in uint32 take 1 MB
+    assert peak < 200_000  # 130 diagonals of 4097 uint8 cells take 533 KB
+
+
+# Lucas' theorem makes M over p^n the n-th Kronecker power of its p x p
+# corner, mod p (Allouche & Shallit, Automatic Sequences, 2003): an oracle
+# at benchmark scale, independent of the generator.
+@pytest.mark.parametrize("coeffs, n", [((0, 1, 2, 3), 7), ((1, 2, 2, 5), 5),
+                                       ((1, 0, 1, 2), 12)])
+def test_window_is_the_kronecker_power_of_its_corner(coeffs, n):
+    p = coeffs[3]
+    corner = np.array(reference_corner_matrix(*coeffs, p, p), dtype=np.uint8)
+    power = corner
+    for _ in range(n - 1):
+        power = np.kron(corner, power) % p
+    m = delannoy_matrix(Coefficients(*coeffs), p ** n, p ** n)
+    assert np.array_equal(m.entries, power)
 
 
 @given(coeff_sets, st.integers(1, 20), st.integers(1, 20))

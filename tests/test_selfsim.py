@@ -131,6 +131,32 @@ def test_witness_is_the_brute_force_least_violation(p, data):
     assert report.holds == (want is None)
 
 
+# Products of residues fill uint8 at p = 13 and need uint16 at p = 17.
+@pytest.mark.parametrize("p", [13, 17])
+def test_witness_at_the_edges_of_the_product_dtype(p):
+    m = delannoy_matrix(Coefficients(p - 1, p - 2, p - 3, p), p * p, p * p)
+    assert check_self_similarity(m, p).holds
+    bad = _corrupt(m, p * p - 2, p + 3)
+    v = check_self_similarity(bad, p).first_violation
+    want = least_violation(bad.entries.tolist(), p)
+    assert (v.k, v.s, v.t, v.i, v.j) == want == (1, p - 1, 1, p - 2, 3)
+
+
+def test_certifying_keeps_few_blocks_alive():
+    m = carpet(3 ** 7)
+    check_self_similarity(carpet(9), 3)  # np.unique first imports numpy.ma
+    tracemalloc.start()
+    try:
+        assert check_self_similarity(m, 3).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One scaled block, its quotient and one comparison mask, at one byte a
+    # cell; a wider temporary, or the blocks of every residue kept alive,
+    # takes five or more.
+    assert peak < 4 * (3 ** 6) ** 2
+
+
 @pytest.mark.parametrize("p, side", [(5, 3), (5, 24), (3, 8), (2, 3)])
 def test_windows_below_p_squared_are_refused(p, side):
     # Below p^2 only level 0 fits, which relates M[s, t] to M[s, t] * M[0, 0].
