@@ -12,12 +12,12 @@ from pathlib import Path
 
 from fractile import (Coefficients, assemble_bounded, carpet_system,
                       delannoy_matrix)
-from fractile.formats import RenderSpec, default_palette, render_cells
+from fractile.formats import RenderSpec, render_cells
 
 
 def save(path: Path, values, modulus: int, cell_size: int) -> None:
-    spec = RenderSpec(default_palette(values, modulus), cell_size=cell_size)
-    path.write_bytes(render_cells(values, spec))
+    spec = RenderSpec(cell_size=cell_size)
+    path.write_bytes(render_cells(values, modulus, spec))
     print(f"wrote {path}")
 
 
@@ -26,6 +26,8 @@ def main() -> None:
     parser.add_argument("--outdir", default="out")
     parser.add_argument("--cell-size", type=int, default=4)
     args = parser.parse_args()
+    if args.cell_size < 1:
+        parser.error(f"--cell-size must be at least 1, got {args.cell_size}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

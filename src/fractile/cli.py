@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import formats, matrix, tam, tilegen
@@ -89,7 +88,7 @@ def cmd_simulate(args) -> int:
         grid = formats.assembly_value_grid(
             {pos: (t.id, t.label) for pos, t in assembly.placements.items()},
             bound)
-        _render(args.image, grid, _label_modulus(grid), spec)
+        Path(args.image).write_bytes(formats.render_cells(grid, None, spec))
     if len(assembly) < bound[0] * bound[1]:
         print(f"assembly stalled at {len(assembly)} of "
               f"{bound[0] * bound[1]} cells", file=sys.stderr)
@@ -98,23 +97,10 @@ def cmd_simulate(args) -> int:
 
 
 def _render_spec(args) -> formats.RenderSpec:
-    """The render flags, checked before any work; an empty palette stands
-    for the default one, which depends on the values rendered."""
-    palette = ({} if args.palette is None
+    """The render flags, checked before any work."""
+    palette = (None if args.palette is None
                else formats.parse_palette(args.palette))
     return formats.RenderSpec(palette, args.cell_size, not args.zero_color)
-
-
-def _render(path: str, values, modulus: int, spec: formats.RenderSpec) -> None:
-    palette = spec.palette or formats.default_palette(
-        values, modulus, spec.zero_as_background)
-    Path(path).write_bytes(
-        formats.render_cells(values, replace(spec, palette=palette)))
-
-
-def _label_modulus(grid) -> int:
-    """Palette modulus for assembly labels: one past the largest label."""
-    return int(grid.max(initial=0)) + 1
 
 
 def cmd_render(args) -> int:
@@ -126,13 +112,12 @@ def cmd_render(args) -> int:
         values, modulus = m.entries, m.modulus
     elif header == formats.ASSEMBLY_HEADER:
         bound, placements = formats.parse_assembly(text)
-        values = formats.assembly_value_grid(placements, bound)
-        modulus = _label_modulus(values)
+        values, modulus = formats.assembly_value_grid(placements, bound), None
     else:
         raise formats.FormatError(
             f"source must start with '{formats.GRID_HEADER}' or "
             f"'{formats.ASSEMBLY_HEADER}'")
-    _render(args.out, values, modulus, spec)
+    Path(args.out).write_bytes(formats.render_cells(values, modulus, spec))
     return 0
 
 

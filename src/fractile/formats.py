@@ -48,9 +48,10 @@ ASSEMBLY_HEADER = "assembly v1"
 _EDGE_LETTERS = (("W", Direction.W), ("S", Direction.S),
                  ("E", Direction.E), ("N", Direction.N))
 
-# Tokens per record, its kind included.
-_TILESET_RECORDS = {"temperature": 2, "seed": 4, "tile": 15}
-_ASSEMBLY_RECORDS = {"bound": 3, "placed": 2, "place": 5}
+# The fields of each record after its kind: "i" an integer, "s" a token.
+_TILESET_RECORDS = {"temperature": "i", "seed": "iii",
+                    "tile": "is" + "ssi" * 4}
+_ASSEMBLY_RECORDS = {"bound": "ii", "placed": "i", "place": "iiis"}
 _SINGLE_RECORDS = {"temperature", "bound", "placed"}
 
 
@@ -72,22 +73,25 @@ def _body(text: str, header: str) -> list[str]:
     return lines
 
 
-def _records(text: str, header: str, arity: dict[str, int]):
-    """Each record after `header` as its tokens, kind first; refuses an
-    unknown kind, a wrong token count and a repeated single record."""
+def _records(text: str, header: str, fields: dict[str, str]):
+    """Each record after `header` as its kind and its fields, integer
+    fields converted; refuses an unknown kind, a wrong field count or a
+    non-integer field, and a repeated single record."""
     seen: set[str] = set()
     for line in _body(text, header):
-        tokens = line.split()
-        kind = tokens[0]
-        if kind not in arity:
+        kind, *tokens = line.split()
+        if kind not in fields:
             raise FormatError(f"unknown record kind {kind!r}")
-        if len(tokens) != arity[kind]:
-            raise FormatError(f"malformed {kind} record: {line!r}")
+        try:
+            values = [int(tok) if typ == "i" else tok
+                      for typ, tok in zip(fields[kind], tokens, strict=True)]
+        except ValueError as exc:
+            raise FormatError(f"malformed {kind} record: {line!r}") from exc
         if kind in _SINGLE_RECORDS:
             if kind in seen:
                 raise FormatError(f"duplicate {kind} record")
             seen.add(kind)
-        yield tokens
+        yield kind, values
 
 
 def write_grid(matrix: ResidueMatrix) -> str:
@@ -138,39 +142,31 @@ def write_tileset(system: TileSystem) -> str:
 def parse_tileset(text: str) -> TileSystem:
     temperature = None
     seed_ids: dict[Position, int] = {}
-    tiles: list[TileType] = []
-    for tokens in _records(text, TILESET_HEADER, _TILESET_RECORDS):
-        kind = tokens[0]
-        try:
-            if kind == "temperature":
-                temperature = int(tokens[1])
-            elif kind == "seed":
-                pos = (int(tokens[1]), int(tokens[2]))
-                if pos in seed_ids:
-                    raise FormatError(f"duplicate seed at {pos}")
-                seed_ids[pos] = int(tokens[3])
-            else:
-                tile_id, label = int(tokens[1]), tokens[2]
-                edges = {tokens[i]: (tokens[i + 1], int(tokens[i + 2]))
-                         for i in range(3, 15, 3)}
-                if set(edges) != {"W", "S", "E", "N"}:
-                    raise FormatError(f"tile {tile_id} is missing edges")
-                tiles.append(TileType.make(
-                    tile_id, label, west=edges["W"], south=edges["S"],
-                    east=edges["E"], north=edges["N"]))
-        except ValueError as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(
-                f"malformed record: {' '.join(tokens)!r}") from exc
+    tiles: list[tuple] = []  # TileType.make's arguments, made in the try
+    for kind, fields in _records(text, TILESET_HEADER, _TILESET_RECORDS):
+        if kind == "temperature":
+            temperature, = fields
+        elif kind == "seed":
+            x, y, tile_id = fields
+            if (x, y) in seed_ids:
+                raise FormatError(f"duplicate seed at {(x, y)}")
+            seed_ids[(x, y)] = tile_id
+        else:
+            tile_id, label = fields[:2]
+            edges = {fields[i]: (fields[i + 1], fields[i + 2])
+                     for i in range(2, 14, 3)}
+            if set(edges) != {"W", "S", "E", "N"}:
+                raise FormatError(f"tile {tile_id} is missing edges")
+            tiles.append((tile_id, label, *(edges[d] for d in "WSEN")))
     if temperature is None:
         raise FormatError("missing temperature record")
     if not seed_ids:
         raise FormatError("missing seed record")
-    by_id = {t.id: t for t in tiles}
     try:
+        made = tuple(TileType.make(*args) for args in tiles)
+        by_id = {t.id: t for t in made}
         seed = {pos: by_id[tile_id] for pos, tile_id in seed_ids.items()}
-        return TileSystem(tuple(tiles), seed, temperature)
+        return TileSystem(made, seed, temperature)
     except KeyError as exc:
         raise FormatError(f"seed references unknown tile id {exc}") from exc
     except ValueError as exc:
@@ -192,22 +188,16 @@ def parse_assembly(text: str) -> tuple[tuple[int, int], dict[Position, tuple[int
     bound = None
     count = None
     placements: dict[Position, tuple[int, str]] = {}
-    for tokens in _records(text, ASSEMBLY_HEADER, _ASSEMBLY_RECORDS):
-        try:
-            if tokens[0] == "bound":
-                bound = (int(tokens[1]), int(tokens[2]))
-            elif tokens[0] == "placed":
-                count = int(tokens[1])
-            else:
-                pos = (int(tokens[1]), int(tokens[2]))
-                if pos in placements:
-                    raise FormatError(f"duplicate placement at {pos}")
-                placements[pos] = (int(tokens[3]), tokens[4])
-        except ValueError as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(
-                f"malformed record: {' '.join(tokens)!r}") from exc
+    for kind, fields in _records(text, ASSEMBLY_HEADER, _ASSEMBLY_RECORDS):
+        if kind == "bound":
+            bound = tuple(fields)
+        elif kind == "placed":
+            count, = fields
+        else:
+            x, y, tile_id, label = fields
+            if (x, y) in placements:
+                raise FormatError(f"duplicate placement at {(x, y)}")
+            placements[(x, y)] = (tile_id, label)
     if bound is None:
         raise FormatError("missing bound record")
     for x, y in placements:
@@ -224,34 +214,33 @@ RGB = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """How residues map to pixels."""
+    """How residues map to pixels; no palette means the default one."""
 
-    palette: dict[int, RGB]
+    palette: dict[int, RGB] | None = None
     cell_size: int = 8
     zero_as_background: bool = True
 
     def __post_init__(self) -> None:
         if self.cell_size < 1:
             raise ValueError("cell size must be positive")
-        for value, rgb in self.palette.items():
+        for value, rgb in (self.palette or {}).items():
             if len(rgb) != 3 or any(not 0 <= ch <= 255 for ch in rgb):
                 raise ValueError(f"bad RGB triple for residue {value}: {rgb}")
 
 
 def default_palette(values, modulus: int,
                     zero_as_background: bool = True) -> dict[int, RGB]:
-    """Deterministic palette for the residues of `values` in [0, modulus).
+    """Deterministic palette for the distinct ints `values` in [0, modulus).
 
     A colour depends only on the residue and the modulus, so palettes
     built from different value sets agree where they overlap.  Residue 0
     is white when treated as background, otherwise it joins the hue wheel
     with the nonzero residues.
     """
-    import numpy as np
     palette: dict[int, RGB] = {}
     start = 1 if zero_as_background else 0
     count = modulus - start
-    for value in np.unique(values).tolist():
+    for value in values:
         if not 0 <= value < modulus:
             continue
         if value < start:
@@ -282,11 +271,14 @@ def parse_palette(spec: str) -> dict[int, RGB]:
     return palette
 
 
-def render_cells(values: np.ndarray, spec: RenderSpec) -> bytes:
+def render_cells(values: np.ndarray, modulus: int | None,
+                 spec: RenderSpec) -> bytes:
     """Render a grid of residues to a binary P6 pixmap.
 
-    Matrix row 0 becomes the bottom row of the image.  Cells holding -1
-    (unplaced positions in a partial assembly) render as white.
+    With no palette in `spec`, the default palette of the residues present
+    is used, for `modulus`: a grid's p, or for assembly labels (None) one
+    past the largest label.  Matrix row 0 becomes the bottom row of the
+    image.  Cells holding -1 (unplaced positions) render as white.
     """
     import numpy as np
     values = np.asarray(values)
@@ -294,11 +286,16 @@ def render_cells(values: np.ndarray, spec: RenderSpec) -> bytes:
                 values.shape[1] * spec.cell_size, "pixmap")
     distinct, inverse = np.unique(values, return_inverse=True)
     distinct = distinct.tolist()
-    missing = {v for v in distinct if v >= 0} - set(spec.palette)
+    palette = spec.palette
+    if palette is None:
+        palette = default_palette(
+            distinct, distinct[-1] + 1 if modulus is None else modulus,
+            spec.zero_as_background)
+    missing = {v for v in distinct if v >= 0} - set(palette)
     if missing:
         raise FormatError(
             f"palette does not cover residues {sorted(missing)}")
-    colors = np.array([spec.palette.get(v, (255, 255, 255))
+    colors = np.array([palette.get(v, (255, 255, 255))
                        for v in distinct], dtype=np.uint8).reshape(-1, 3)
     # row 0 at the bottom
     pixels = colors[np.flipud(inverse.reshape(values.shape))]
@@ -310,7 +307,7 @@ def render_cells(values: np.ndarray, spec: RenderSpec) -> bytes:
 
 def assembly_value_grid(placements: dict[Position, tuple[int, str]],
                         bound: tuple[int, int]) -> np.ndarray:
-    """Labels of a placement map as integers; unplaced cells become -1."""
+    """Labels of a placement map as residues; unplaced cells become -1."""
     import numpy as np
     height, width = bound
     check_cells(height, width, "bound")
@@ -319,8 +316,10 @@ def assembly_value_grid(placements: dict[Position, tuple[int, str]],
         if not (0 <= x < height and 0 <= y < width):
             continue
         try:
-            grid[x, y] = int(label)
-        except (ValueError, OverflowError) as exc:
+            grid[x, y] = value = int(label)
+        except (ValueError, OverflowError):
+            value = -1  # not an int64 label: refused like a negative one
+        if value < 0:
             raise FormatError(
-                f"label {label!r} at ({x}, {y}) is not a residue") from exc
+                f"label {label!r} at ({x}, {y}) is not a residue")
     return grid

@@ -249,6 +249,22 @@ def test_simulate_with_image_and_rectangular_bound(tmp_path):
     assert arr.shape == (9, 27, 3)
 
 
+@pytest.mark.parametrize("flags", [
+    (), ("--zero-color",), ("--palette", "0=9,9,9;1=200,0,0;2=0,0,200")],
+    ids=["default", "zero-color", "palette"])
+def test_simulate_image_equals_render_of_its_dump(tmp_path, flags):
+    tiles = tmp_path / "carpet.tiles"
+    run("tileset", "--carpet", "--out", str(tiles))
+    dump, image, rendered = (tmp_path / n for n in ("a.dump", "a.ppm",
+                                                    "r.ppm"))
+    assert run("simulate", "--tileset", str(tiles), "--bound", "9", "5",
+               "--out", str(dump), "--image", str(image),
+               "--cell-size", "2", *flags) == 0
+    assert run("render", str(dump), "--out", str(rendered),
+               "--cell-size", "2", *flags) == 0
+    assert image.read_bytes() == rendered.read_bytes()
+
+
 def test_simulate_bound_takes_one_or_two_values(tmp_path, capsys):
     tiles = tmp_path / "carpet.tiles"
     run("tileset", "--carpet", "--out", str(tiles))
@@ -292,8 +308,14 @@ TILE_0 = "tile 0 1 W _ 1 S (_,_) 1 E 1 2 N (_,1) 2"
     (["temperature 2", "seed 0 0 0", "seed 0 0 0", TILE_0], "duplicate seed"),
     (["temperature 2 7", "seed 0 0 0", TILE_0], "malformed temperature"),
     (["temperature 2", "seed 0 0 0 junk", TILE_0], "malformed seed"),
+    (["temperature 2", "seed 0 x 0", TILE_0], "malformed seed record"),
+    (["temperature 2", "seed 0 0 0",
+      "tile 0 1 W _ 1 S (_,_) 1 E 1 x N (_,1) 2"], "malformed tile record"),
+    (["temperature 2", "seed 0 0 0",
+      "tile 0 1 W _ 1 S (_,_) 1 E 1 3 N (_,1) 2"], "strengths must be"),
 ], ids=["duplicate-id", "temperature-0", "two-temperatures", "two-seeds",
-        "temperature-extra-token", "seed-extra-token"])
+        "temperature-extra-token", "seed-extra-token", "seed-not-integer",
+        "strength-not-integer", "strength-3"])
 def test_parse_tileset_rejects_bad_records(tmp_path, capsys, records,
                                            problem):
     text = "\n".join(["tileset v1"] + records) + "\n"
@@ -369,6 +391,8 @@ def test_render_assembly_dump(tmp_path):
     (["bound 2 2", "place 0 0 1 1 extra"], "malformed place"),
     (["bound 2 2", "bound 3 3"], "duplicate bound"),
     (["bound 2 2", "placed 0", "placed 0"], "duplicate placed"),
+    (["bound 2 2", "place 0 0 x 1"], "malformed place record"),
+    (["bound 2 y"], "malformed bound record"),
 ])
 def test_parse_assembly_rejects_bad_placements(tmp_path, capsys, records,
                                                problem):
@@ -451,7 +475,10 @@ def test_parse_assembly_accepts_bound_after_placements():
     ("big.grid", "grid v1\n2 2 3\n0 1\n2 99999999999999999999\n"),
     ("big.dump", "assembly v1\nbound 1 1\nplaced 1\n"
                  "place 0 0 1 99999999999999999999\n"),
-], ids=["grid", "dump"])
+    # -1 marks an unplaced cell, so no placed label may be negative
+    ("neg1.dump", "assembly v1\nbound 1 2\nplaced 1\nplace 0 0 1 -1\n"),
+    ("neg5.dump", "assembly v1\nbound 1 2\nplaced 1\nplace 0 0 1 -5\n"),
+], ids=["grid", "dump", "dump-label-minus-1", "dump-label-minus-5"])
 def test_render_rejects_integers_beyond_int64(tmp_path, capsys, name, text):
     src = tmp_path / name
     src.write_text(text)

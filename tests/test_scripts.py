@@ -69,3 +69,11 @@ def test_render_figures_matrix_carpet_equals_assembled_carpet(tmp_path):
         "carpet-sim-27.ppm", "five-color-125.ppm"]
     assert ((tmp_path / "carpet-27.ppm").read_bytes()
             == (tmp_path / "carpet-sim-27.ppm").read_bytes())
+
+
+def test_render_figures_refuses_a_cell_size_below_one(tmp_path):
+    proc = run_script("render_figures.py", "--outdir", str(tmp_path / "out"),
+                      "--cell-size", "0")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "--cell-size" in proc.stderr
+    assert not (tmp_path / "out").exists()

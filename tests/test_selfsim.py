@@ -144,7 +144,7 @@ def test_witness_at_the_edges_of_the_product_dtype(p):
 
 def test_certifying_keeps_few_blocks_alive():
     m = carpet(3 ** 7)
-    check_self_similarity(carpet(9), 3)  # np.unique first imports numpy.ma
+    check_self_similarity(carpet(9), 3)  # first-call imports stay untraced
     tracemalloc.start()
     try:
         assert check_self_similarity(m, 3).holds

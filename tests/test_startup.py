@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import fractile
-from fractile import carpet_system, formats
+from fractile import (Coefficients, assemble_bounded, carpet_system,
+                      delannoy_matrix, formats)
 
 CARPET_FLAGS = ("--a", "1", "--b", "1", "--c", "1", "--p", "3")
 
@@ -72,3 +73,21 @@ def test_an_array_command_loads_numpy(tmp_path):
     # the probe is not vacuous: a command that builds a window loads numpy
     assert numpy_loaded(tmp_path, "matrix", *CARPET_FLAGS, "--size", "9",
                         "--out", "m.grid") == (0, True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("selfsim", *CARPET_FLAGS, "--size", "27"),
+    ("render", "m.grid", "--out", "m.ppm"),
+    ("render", "a.dump", "--out", "a.ppm"),
+    ("simulate", "--tileset", "{tiles}", "--bound", "27", "--out", "b.dump",
+     "--image", "b.ppm"),
+], ids=["selfsim", "render-grid", "render-dump", "simulate-image"])
+def test_array_commands_load_no_numpy_ma(tmp_path, carpet_tileset, argv):
+    # a first np.unique without a return_* flag imports numpy.ma (~20 ms)
+    (tmp_path / "m.grid").write_text(formats.write_grid(
+        delannoy_matrix(Coefficients(1, 1, 1, 3), 27, 27)))
+    (tmp_path / "a.dump").write_text(formats.write_assembly(
+        assemble_bounded(carpet_system(), (27, 27), 0), (27, 27)))
+    argv = [a.format(tiles=carpet_tileset) for a in argv]
+    code = PROBE.replace("'numpy'", "'numpy.ma'")
+    assert numpy_loaded(tmp_path, *argv, code=code) == (0, False)
