@@ -54,23 +54,16 @@ def cmd_selfsim(args) -> int:
     return 0 if report.holds else 1
 
 
-def _rule_from_args(args) -> tilegen.LocalRule:
-    return tilegen.delannoy_rule(_coefficients(args))
-
-
 def cmd_tileset(args) -> int:
-    if args.carpet:
-        system = tilegen.carpet_system()
-    else:
-        rule = _rule_from_args(args)
-        budget = {} if args.budget is None else {"budget": args.budget}
-        system = tilegen.build_full_system(rule, **budget)
-        if not args.no_prune:
-            # Windows mentioning ⊥ hold row 0 (a^j) and column 0 (c^i); a
-            # unit's powers all occur among its first p - 1, and a = 0 gives
-            # 1, 0, 0, ..., so p + 1 cells along each axis show them all.
-            side = args.p + 1
-            system = tilegen.prune_reachable(system, rule, (side, side))
+    rule = tilegen.delannoy_rule(_coefficients(args))
+    budget = {} if args.budget is None else {"budget": args.budget}
+    system = tilegen.build_full_system(rule, **budget)
+    if not args.no_prune:
+        # Windows mentioning ⊥ hold row 0 (a^j) and column 0 (c^i); a unit's
+        # powers all occur among its first p - 1, and a = 0 gives 1, 0, 0,
+        # ..., so p + 1 cells along each axis show them all.
+        side = args.p + 1
+        system = tilegen.prune_reachable(system, rule, (side, side))
     _write_text(args.out, formats.write_tileset(system))
     return 0
 
@@ -123,7 +116,7 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import conformance
-    rule = _rule_from_args(args)
+    rule = tilegen.delannoy_rule(_coefficients(args))
     system = None
     if args.tileset is not None:
         system = formats.parse_tileset(Path(args.tileset).read_text())
@@ -136,14 +129,14 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_coeff_flags(parser, required: bool = True) -> None:
-    parser.add_argument("--a", type=int, required=required,
+def _add_coeff_flags(parser) -> None:
+    parser.add_argument("--a", type=int, required=True,
                         help="weight of the west neighbor")
-    parser.add_argument("--b", type=int, required=required,
+    parser.add_argument("--b", type=int, required=True,
                         help="weight of the southwest neighbor")
-    parser.add_argument("--c", type=int, required=required,
+    parser.add_argument("--c", type=int, required=True,
                         help="weight of the south neighbor")
-    parser.add_argument("--p", type=int, required=required,
+    parser.add_argument("--p", type=int, required=True,
                         help="prime modulus")
 
 
@@ -178,9 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selfsim)
 
     p = sub.add_parser("tileset", help="compile and write a tile system")
-    _add_coeff_flags(p, required=False)
-    p.add_argument("--carpet", action="store_true",
-                   help="emit the explicit 30-tile carpet system")
+    _add_coeff_flags(p)
     p.add_argument("--no-prune", action="store_true",
                    help="keep every tile of the full construction")
     p.add_argument("--budget", type=int, default=None,
@@ -224,16 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "tileset":
-        given = [v is not None for v in (args.a, args.b, args.c, args.p)]
-        if args.carpet and (any(given) or args.no_prune
-                            or args.budget is not None):
-            parser.error("--carpet takes none of --a --b --c --p --no-prune "
-                         "--budget")
-        if not args.carpet and not all(given):
-            parser.error("either --carpet or all of --a --b --c --p")
-        if args.budget is not None and args.budget < 1:
-            parser.error(f"--budget must be at least 1, got {args.budget}")
+    if (args.command == "tileset" and args.budget is not None
+            and args.budget < 1):
+        parser.error(f"--budget must be at least 1, got {args.budget}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -22,11 +22,11 @@ assembly v1       placement dump
 
 Glue tokens never contain whitespace, so every line splits on spaces.
 Blank lines are skipped, so the header is the first non-blank line.  Each
-record has exactly its fields; `temperature`, `bound` and `placed` appear
-at most once.  Assembly dumps are written in position order, not
-attachment order, so two runs of a directed system produce byte-identical
-dumps.  Images are binary portable pixmaps (P6) with matrix row 0 along
-the bottom edge.
+record has exactly its fields, integers written as `str()` writes them;
+`temperature`, `bound` and `placed` appear at most once.  Assembly dumps
+are written in position order, not attachment order, so two runs of a
+directed system produce byte-identical dumps.  Images are binary portable
+pixmaps (P6) with matrix row 0 along the bottom edge.
 """
 
 from __future__ import annotations
@@ -73,6 +73,15 @@ def _body(text: str, header: str) -> list[str]:
     return lines
 
 
+def _integer(token: str) -> int:
+    """`token` as an int, if it is exactly the text str() writes for it:
+    so no `+`, `_`, leading zero, `-0` or non-ASCII digit."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(f"{token!r} is not written as an integer")
+    return value
+
+
 def _records(text: str, header: str, fields: dict[str, str]):
     """Each record after `header` as its kind and its fields, integer
     fields converted; refuses an unknown kind, a wrong field count or a
@@ -83,7 +92,7 @@ def _records(text: str, header: str, fields: dict[str, str]):
         if kind not in fields:
             raise FormatError(f"unknown record kind {kind!r}")
         try:
-            values = [int(tok) if typ == "i" else tok
+            values = [_integer(tok) if typ == "i" else tok
                       for typ, tok in zip(fields[kind], tokens, strict=True)]
         except ValueError as exc:
             raise FormatError(f"malformed {kind} record: {line!r}") from exc
@@ -105,24 +114,22 @@ def parse_grid(text: str) -> ResidueMatrix:
     import numpy as np
     lines = _body(text, GRID_HEADER)
     try:
-        height, width, modulus = (int(v) for v in lines[0].split())
+        height, width, modulus = (_integer(v) for v in lines[0].split())
     except (IndexError, ValueError) as exc:
         raise FormatError("malformed grid dimension line") from exc
     rows = lines[1:]
     if len(rows) != height:
         raise FormatError(f"expected {height} rows, found {len(rows)}")
     try:
-        data = [[int(v) for v in row.split()] for row in rows]
+        data = [[_integer(v) for v in row.split()] for row in rows]
     except ValueError as exc:
         raise FormatError("grid entries must be integers") from exc
     if any(len(row) != width for row in data):
         raise FormatError("grid row width mismatch")
     try:
-        entries = np.array(data, dtype=np.int64)
+        return ResidueMatrix(modulus, np.array(data, dtype=np.int64))
     except OverflowError as exc:
         raise FormatError("grid entries must fit in int64") from exc
-    try:
-        return ResidueMatrix(modulus, entries)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -256,16 +263,16 @@ def default_palette(values, modulus: int,
 def parse_palette(spec: str) -> dict[int, RGB]:
     """Parse '0=255,255,255;1=0,0,0' style palette strings."""
     palette: dict[int, RGB] = {}
-    for chunk in spec.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, (c.strip() for c in spec.split(";"))):
         try:
             key, rgb = chunk.split("=")
+            residue = int(key)
             r, g, b = (int(v) for v in rgb.split(","))
-            palette[int(key)] = (r, g, b)
         except ValueError as exc:
             raise FormatError(f"malformed palette entry {chunk!r}") from exc
+        if residue in palette:
+            raise FormatError(f"palette names residue {residue} twice")
+        palette[residue] = (r, g, b)
     if not palette:
         raise FormatError("empty palette specification")
     return palette
@@ -316,7 +323,7 @@ def assembly_value_grid(placements: dict[Position, tuple[int, str]],
         if not (0 <= x < height and 0 <= y < width):
             continue
         try:
-            grid[x, y] = value = int(label)
+            grid[x, y] = value = _integer(label)
         except (ValueError, OverflowError):
             value = -1  # not an int64 label: refused like a negative one
         if value < 0:

@@ -1,7 +1,9 @@
 import hashlib
 import io
+import shlex
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,19 +140,16 @@ def test_selfsim_corrupt_does_not_copy_the_window(capsys):
 
 def test_tileset_carpet_records(tmp_path):
     out = tmp_path / "carpet.tiles"
-    assert run("tileset", "--carpet", "--out", str(out)) == 0
+    assert run("tileset", *CARPET_FLAGS, "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "tileset v1"
     assert sum(1 for ln in lines if ln.startswith("tile ")) == 30
 
 
 def test_tileset_pruned_equals_carpet_file(tmp_path):
-    a = tmp_path / "carpet.tiles"
-    b = tmp_path / "pruned.tiles"
-    assert run("tileset", "--carpet", "--out", str(a)) == 0
-    assert run("tileset", "--a", "1", "--b", "1", "--c", "1", "--p", "3",
-               "--out", str(b)) == 0
-    assert a.read_text() == b.read_text()
+    out = tmp_path / "pruned.tiles"
+    assert run("tileset", *CARPET_FLAGS, "--out", str(out)) == 0
+    assert out.read_text() == formats.write_tileset(carpet_system())
 
 
 def test_tileset_no_prune_count(tmp_path):
@@ -190,6 +189,17 @@ def test_tileset_prune_flag_is_gone():
     assert exc.value.code == 2
 
 
+def test_tileset_carpet_flag_is_gone(capsys):
+    # the 30-tile set is what the coefficient flags compile to
+    for argv in (["--carpet"], [*CARPET_FLAGS, "--carpet"]):
+        with pytest.raises(SystemExit) as exc:
+            run("tileset", *argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+    assert "unrecognized arguments: --carpet" in captured.err
+
+
 @pytest.mark.parametrize("coeffs,count", [
     (("1", "1", "1", "3"), 30), (("1", "2", "2", "5"), 131),
     (("0", "3", "3", "7"), 352)])
@@ -207,7 +217,7 @@ def test_tileset_horizon_comes_from_p(tmp_path, capsys, coeffs, count):
 
 def test_simulate_round_trip_and_determinism(tmp_path):
     tiles = tmp_path / "carpet.tiles"
-    run("tileset", "--carpet", "--out", str(tiles))
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
     d7 = tmp_path / "a7.dump"
     d9 = tmp_path / "a9.dump"
     assert run("simulate", "--tileset", str(tiles), "--bound", "27",
@@ -240,7 +250,7 @@ def test_simulate_stall_exit_code(tmp_path, capsys):
 
 def test_simulate_with_image_and_rectangular_bound(tmp_path):
     tiles = tmp_path / "carpet.tiles"
-    run("tileset", "--carpet", "--out", str(tiles))
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
     img = tmp_path / "sim.ppm"
     assert run("simulate", "--tileset", str(tiles), "--bound", "3", "9",
                "--seed", "1", "--out", str(tmp_path / "sim.dump"),
@@ -254,7 +264,7 @@ def test_simulate_with_image_and_rectangular_bound(tmp_path):
     ids=["default", "zero-color", "palette"])
 def test_simulate_image_equals_render_of_its_dump(tmp_path, flags):
     tiles = tmp_path / "carpet.tiles"
-    run("tileset", "--carpet", "--out", str(tiles))
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
     dump, image, rendered = (tmp_path / n for n in ("a.dump", "a.ppm",
                                                     "r.ppm"))
     assert run("simulate", "--tileset", str(tiles), "--bound", "9", "5",
@@ -267,7 +277,7 @@ def test_simulate_image_equals_render_of_its_dump(tmp_path, flags):
 
 def test_simulate_bound_takes_one_or_two_values(tmp_path, capsys):
     tiles = tmp_path / "carpet.tiles"
-    run("tileset", "--carpet", "--out", str(tiles))
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
     out = tmp_path / "sim.dump"
     assert run("simulate", "--tileset", str(tiles), "--bound", "3", "4", "5",
                "--out", str(out)) == 2
@@ -276,11 +286,13 @@ def test_simulate_bound_takes_one_or_two_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ("--cell-size", "0"), ("--palette", "0=1,2"), ("--palette", "0=300,0,0")],
-    ids=["cell-size-zero", "palette-malformed", "palette-out-of-range"])
+    ("--cell-size", "0"), ("--palette", "0=1,2"), ("--palette", "0=300,0,0"),
+    ("--palette", "0=1,2,3;1=4,5,6;2=7,8,9;2=1,1,1")],
+    ids=["cell-size-zero", "palette-malformed", "palette-out-of-range",
+         "palette-residue-twice"])
 def test_simulate_checks_render_flags_before_growing(tmp_path, capsys, flags):
     tiles = tmp_path / "carpet.tiles"
-    run("tileset", "--carpet", "--out", str(tiles))
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
     image, dump = tmp_path / "x.ppm", tmp_path / "a.dump"
     for out in ((), ("--out", str(dump))):
         assert run("simulate", "--tileset", str(tiles), "--bound", "9",
@@ -313,9 +325,15 @@ TILE_0 = "tile 0 1 W _ 1 S (_,_) 1 E 1 2 N (_,1) 2"
       "tile 0 1 W _ 1 S (_,_) 1 E 1 x N (_,1) 2"], "malformed tile record"),
     (["temperature 2", "seed 0 0 0",
       "tile 0 1 W _ 1 S (_,_) 1 E 1 3 N (_,1) 2"], "strengths must be"),
+    (["temperature +2", "seed 0 0 0", TILE_0], "malformed temperature"),
+    (["temperature 2", "seed 0 0 00", TILE_0], "malformed seed"),
+    (["temperature 2", "seed -0 0 0", TILE_0], "malformed seed"),
+    (["temperature 2", "seed 0 0 0",
+      "tile 0 1 W _ 1 S (_,_) 1 E 1 2 N (_,1) \u0662"], "malformed tile"),
 ], ids=["duplicate-id", "temperature-0", "two-temperatures", "two-seeds",
         "temperature-extra-token", "seed-extra-token", "seed-not-integer",
-        "strength-not-integer", "strength-3"])
+        "strength-not-integer", "strength-3", "temperature-plus",
+        "seed-leading-zero", "seed-minus-zero", "strength-arabic-indic-two"])
 def test_parse_tileset_rejects_bad_records(tmp_path, capsys, records,
                                            problem):
     text = "\n".join(["tileset v1"] + records) + "\n"
@@ -372,7 +390,7 @@ def test_render_reads_the_header_after_blank_lines(tmp_path):
 
 def test_render_assembly_dump(tmp_path):
     tiles = tmp_path / "carpet.tiles"
-    run("tileset", "--carpet", "--out", str(tiles))
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
     dump = tmp_path / "a.dump"
     run("simulate", "--tileset", str(tiles), "--bound", "9",
         "--out", str(dump))
@@ -393,6 +411,9 @@ def test_render_assembly_dump(tmp_path):
     (["bound 2 2", "placed 0", "placed 0"], "duplicate placed"),
     (["bound 2 2", "place 0 0 x 1"], "malformed place record"),
     (["bound 2 y"], "malformed bound record"),
+    (["bound +2 1_0"], "malformed bound record"),
+    (["bound 2 2", "place \u0660 0 1 3"], "malformed place record"),
+    (["bound 2 2", "placed 01", "place 0 0 1 1"], "malformed placed record"),
 ])
 def test_parse_assembly_rejects_bad_placements(tmp_path, capsys, records,
                                                problem):
@@ -452,7 +473,7 @@ def test_bound_over_the_cell_limit_exits_2(tmp_path, capsys, monkeypatch,
                                            command):
     # the limit is lowered, so a missing check could not allocate much
     tiles = tmp_path / "carpet.tiles"
-    run("tileset", "--carpet", "--out", str(tiles))
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
     argv = {"simulate": ["simulate", "--tileset", str(tiles),
                          "--out", str(tmp_path / "a.dump")],
             "verify": ["verify", *CARPET_FLAGS, "--trials", "1"]}[command]
@@ -478,7 +499,16 @@ def test_parse_assembly_accepts_bound_after_placements():
     # -1 marks an unplaced cell, so no placed label may be negative
     ("neg1.dump", "assembly v1\nbound 1 2\nplaced 1\nplace 0 0 1 -1\n"),
     ("neg5.dump", "assembly v1\nbound 1 2\nplaced 1\nplace 0 0 1 -5\n"),
-], ids=["grid", "dump", "dump-label-minus-1", "dump-label-minus-5"])
+    # an integer is the text str() writes for it, nothing else int() takes
+    ("plus.grid", "grid v1\n1 2 3\n1 +1\n"),
+    ("underscore.grid", "grid v1\n1 2 3\n1 0_1\n"),
+    ("zero.grid", "grid v1\n1 1 3\n00\n"),
+    ("dims.grid", "grid v1\n+1 1 3\n1\n"),
+    ("plus.dump", "assembly v1\nbound 1 1\nplaced 1\nplace 0 0 1 +1\n"),
+    ("digit.dump", "assembly v1\nbound 1 1\nplaced 1\nplace 0 0 1 \u0661\n"),
+], ids=["grid", "dump", "dump-label-minus-1", "dump-label-minus-5",
+        "grid-entry-plus", "grid-entry-underscore", "grid-entry-leading-zero",
+        "grid-dimension-plus", "dump-label-plus", "dump-label-arabic-indic"])
 def test_render_rejects_integers_beyond_int64(tmp_path, capsys, name, text):
     src = tmp_path / name
     src.write_text(text)
@@ -586,16 +616,31 @@ def test_verify_negative_control_tileset(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def readme_commands():
+    """The `fractile` lines of the sh block under README's `## CLI`, with
+    continued lines joined and comments dropped, as argv lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [argv[1:] for argv in lines if argv and argv[0] == "fractile"]
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # a documented command that names a removed flag fails here
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
 @pytest.mark.parametrize("argv", [
     ("matrix", "--a", "1", "--b", "1", "--c", "1", "--p", "3"),
-    ("tileset", "--carpet", "--p", "5"),
-    ("tileset", "--carpet", "--no-prune"),
     ("tileset", "--a", "1", "--b", "1", "--c", "1"),
     ("tileset", *CARPET_FLAGS, "--budget", "-1"),
     ("tileset", *CARPET_FLAGS, "--budget", "0"),
-    ("tileset", "--carpet", "--budget", "5"),
-], ids=["matrix-no-size", "carpet-with-p", "carpet-no-prune", "missing-p",
-        "budget-negative", "budget-zero", "carpet-with-budget"])
+], ids=["matrix-no-size", "missing-p", "budget-negative", "budget-zero"])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
@@ -659,8 +704,7 @@ def command_argv(draw, paths, out):
         return [command, *coefficients, "--size", draw(SMALL),
                 *maybe("--corrupt", SMALL, SMALL)]
     if command == "tileset":
-        return [command, *maybe("--carpet"), *maybe(*coefficients),
-                *maybe("--no-prune"),
+        return [command, *maybe(*coefficients), *maybe("--no-prune"),
                 *maybe("--budget", st.integers(-1, 10 ** 6).map(str)),
                 "--out", out]
     if command == "simulate":

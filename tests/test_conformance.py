@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from fractile import (Assembly, Coefficients, LocalRule, TileSystem, TileType,
@@ -55,6 +57,26 @@ def test_lax_and_strict_agree_on_carpet():
     strict = verify_self_assembly(rule, (9, 9), trials=2)
     lax = verify_self_assembly(rule, (9, 9), trials=2, lax=True)
     assert strict.ok and lax.ok
+
+
+def test_verify_keeps_no_run_but_the_first_alive():
+    rule = delannoy_rule(CARPET)
+    bound = (54, 54)
+    system = prune_reachable(build_full_system(rule), rule, bound)
+    tracemalloc.start()
+    try:
+        run = assemble_bounded(system, bound, 0)  # also warms the tiles
+        one_run = tracemalloc.get_traced_memory()[0]
+        del run
+        peaks = []
+        for trials in (2, 8):
+            tracemalloc.reset_peak()
+            verify_self_assembly(rule, bound, trials, system=system)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    # the runs alive at once do not depend on the trial count
+    assert peaks[1] - peaks[0] < one_run / 4
 
 
 def test_report_rendering_and_dump():

@@ -51,7 +51,6 @@ def carpet_tileset(tmp_path_factory):
 
 @pytest.mark.parametrize("argv,exit_code", [
     (("tileset", *CARPET_FLAGS, "--out", "t.tileset"), 0),
-    (("tileset", "--carpet", "--out", "t.tileset"), 0),
     (("simulate", "--tileset", "{tiles}", "--lax", "--bound", "27",
       "--out", "lax27.asm"), 0),
     (("verify", "--a", "1", "--b", "2", "--c", "2", "--p", "5",
@@ -61,7 +60,7 @@ def carpet_tileset(tmp_path_factory):
     (("matrix", "--a", "1", "--b", "1", "--c", "1", "--p", "4",
       "--size", "9"), 2),
     (("selfsim", *CARPET_FLAGS, "--size", "27", "--corrupt", "50", "3"), 2),
-], ids=["tileset", "tileset-carpet", "simulate-lax", "verify",
+], ids=["tileset", "simulate-lax", "verify",
         "verify-tileset", "matrix-bad-p", "selfsim-corrupt-outside"])
 def test_commands_without_arrays_load_no_numpy(tmp_path, carpet_tileset,
                                                argv, exit_code):
