@@ -635,12 +635,17 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
         assert main(argv) == 0, argv
 
 
+# the carpet rows name the removed --carpet flag, which is now unknown
 @pytest.mark.parametrize("argv", [
     ("matrix", "--a", "1", "--b", "1", "--c", "1", "--p", "3"),
+    ("tileset", "--carpet", "--p", "5"),
+    ("tileset", "--carpet", "--no-prune"),
     ("tileset", "--a", "1", "--b", "1", "--c", "1"),
     ("tileset", *CARPET_FLAGS, "--budget", "-1"),
     ("tileset", *CARPET_FLAGS, "--budget", "0"),
-], ids=["matrix-no-size", "missing-p", "budget-negative", "budget-zero"])
+    ("tileset", "--carpet", "--budget", "5"),
+], ids=["matrix-no-size", "carpet-with-p", "carpet-no-prune", "missing-p",
+        "budget-negative", "budget-zero", "carpet-with-budget"])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
