@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .matrix import check_cells
 from .tam import (Assembly, Direction, Position, assemble_bounded,
-                  first_divergence)
+                  divergence)
 from .tilegen import (LocalRule, build_full_system, build_tile,
                       prune_reachable, rule_matrix, scan_windows, symbol_token,
                       window_at)
@@ -112,12 +112,14 @@ def verify_self_assembly(rule: LocalRule, bound: tuple[int, int],
     expected = rule_matrix(rule, bound[0], bound[1])
     first = assemble_bounded(system, bound, base_seed, lax=lax)
     mismatch = compare_assembly_labels(first, expected, bound)
+    reference = first.id_map()
+    del first  # only run 0's id map stays alive while the next run grows
     witness = None
     for k in range(1, trials):
         run = assemble_bounded(system, bound, base_seed + k, lax=lax)
         mismatch = mismatch or compare_assembly_labels(run, expected, bound)
-        witness = witness or first_divergence((first, run))
-        del run  # only `first` stays alive while the next run grows
+        witness = witness or divergence(reference, run)
+        del run
     return ConformanceReport(
         system_id=rule.name or f"rule-n{rule.n}-{len(rule.alphabet)}symbols",
         bound=bound, matches=mismatch is None, mismatch=mismatch,

@@ -266,8 +266,8 @@ def parse_palette(spec: str) -> dict[int, RGB]:
     for chunk in filter(None, (c.strip() for c in spec.split(";"))):
         try:
             key, rgb = chunk.split("=")
-            residue = int(key)
-            r, g, b = (int(v) for v in rgb.split(","))
+            residue = _integer(key)
+            r, g, b = (_integer(v) for v in rgb.split(","))
         except ValueError as exc:
             raise FormatError(f"malformed palette entry {chunk!r}") from exc
         if residue in palette:

@@ -7,6 +7,12 @@ glue color and the strength match; a tile may extend an assembly when
 every edge abutting an occupied cell matches and the matched strengths
 sum to at least the temperature.  The laxer variant, where mismatching
 edges merely contribute nothing, is available behind a flag.
+
+Growth and replay intern each distinct glue to a small int (0 is the
+empty neighbor) and test attachments with one rule over those ints.
+Growth keeps the bound in one flat list with a border of sentinel cells,
+each placed cell holding its tile's interned glues, so a cell's neighbor
+profile is four list reads packed into one int memo key.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from .matrix import check_cells
 
 Position = tuple[int, int]
 Glue = tuple[str, int]
-# The glues facing a cell from its W, S, E and N neighbors (None: empty).
-Profile = tuple[Glue | None, Glue | None, Glue | None, Glue | None]
 
 
 class Direction(Enum):
@@ -31,26 +35,10 @@ class Direction(Enum):
     E = (0, 1)
     W = (0, -1)
 
-    @property
-    def delta(self) -> tuple[int, int]:
-        return self.value
-
-    @property
-    def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
-
-
-_OPPOSITE = {
-    Direction.N: Direction.S,
-    Direction.S: Direction.N,
-    Direction.E: Direction.W,
-    Direction.W: Direction.E,
-}
 
 # Storage order for the per-edge tuples on TileType.
 EDGE_ORDER = (Direction.W, Direction.S, Direction.E, Direction.N)
 _EDGE_INDEX = {d: i for i, d in enumerate(EDGE_ORDER)}
-_DELTAS = tuple(d.delta for d in Direction)
 
 
 @dataclass(frozen=True)
@@ -142,54 +130,43 @@ class Assembly:
         return {pos: tile.id for pos, tile in self.placements.items()}
 
 
-def _profile(placements: dict[Position, TileType], pos: Position) -> Profile:
-    """The glue each neighbor of `pos` presents to it, per side in
-    EDGE_ORDER (W, S, E, N); None where that neighbor cell is empty."""
-    x, y = pos
-    w = placements.get((x, y - 1))
-    s = placements.get((x - 1, y))
-    e = placements.get((x, y + 1))
-    n = placements.get((x + 1, y))
-    return (None if w is None else w.edges[2], None if s is None else s.edges[3],
-            None if e is None else e.edges[0], None if n is None else n.edges[1])
+def _intern(tiles: Iterable[TileType]
+            ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each tile's four glues (its `edges`, in EDGE_ORDER) as small ints,
+    and the strength of each glue id.  Equal glues get equal ids; id 0 is
+    the glue an empty neighbor presents, of strength 0."""
+    ids: dict[Glue, int] = {}
+    strength = [0]
+    faces = []
+    for tile in tiles:
+        for glue in tile.edges:
+            if glue not in ids:
+                ids[glue] = len(strength)
+                strength.append(glue[1])
+        faces.append(tuple(ids[glue] for glue in tile.edges))
+    return faces, strength
 
 
-def _accepts(edges: tuple[Glue, ...], profile: Profile, temperature: int,
-             lax: bool) -> bool:
+def _accepts(faces: tuple[int, ...], profile: tuple[int, ...],
+             strength: list[int], temperature: int, lax: bool) -> bool:
     """The attachment rule for one tile against a neighbor profile.
 
-    An edge facing a neighbor bonds when its glue (color and strength)
-    equals the glue presented; bonded strengths must reach the
-    temperature.  Strict semantics reject any facing edge that does not
-    bond; lax semantics let it contribute nothing.
+    `faces` are the tile's interned glues and `profile` the glues its W,
+    S, E and N neighbors present (0: empty).  An edge facing a neighbor
+    bonds when its glue (color and strength) equals the glue presented;
+    bonded strengths must reach the temperature.  Strict semantics reject
+    any facing edge that does not bond; lax semantics let it contribute
+    nothing.
     """
     total = 0
-    for mine, theirs in zip(edges, profile):
-        if theirs is None:
+    for mine, theirs in zip(faces, profile):
+        if not theirs:
             continue
         if mine == theirs:
-            total += mine[1]
+            total += strength[mine]
         elif not lax:
             return False
     return total >= temperature
-
-
-class _Candidates(dict):
-    """Memo of profile -> attachable tiles (sorted by id) for one system
-    under one semantics.  The candidates at a position depend only on its
-    neighbor profile, so each distinct profile is scanned once."""
-
-    def __init__(self, system: TileSystem, lax: bool):
-        super().__init__()
-        self.tiles = tuple(sorted(system.tiles, key=lambda t: t.id))
-        self.temperature = system.temperature
-        self.lax = lax
-
-    def __missing__(self, profile: Profile) -> tuple[TileType, ...]:
-        found = tuple(t for t in self.tiles
-                      if _accepts(t.edges, profile, self.temperature, self.lax))
-        self[profile] = found
-        return found
 
 
 def assemble_bounded(system: TileSystem, bound: tuple[int, int],
@@ -209,46 +186,89 @@ def assemble_bounded(system: TileSystem, bound: tuple[int, int],
     randrange = random.Random(order_seed).randrange
     assembly = Assembly.from_seed(system.seed)
     placements = assembly.placements
-    candidates = _Candidates(system, lax)
+    order = assembly.attachment_order
+    tiles = sorted(system.tiles, key=lambda t: t.id)
+    faces, strength = _intern(tiles)
+    glues = len(strength)
+    temperature = system.temperature
 
-    # The frontier as a flat list of pairs, so that a uniform draw is one
-    # index, plus each position's indices into it for swap-removal.
-    pairs: list[tuple[Position, TileType]] = []
-    slots: dict[Position, list[int]] = {}
+    # The bound with a one-cell border, row-major and flat: (x, y) is cell
+    # origin + x * side + y, so divmod(cell - origin, side) is (x, y), and
+    # its N, S, E and W neighbors are cell + side, - side, + 1 and - 1.  A
+    # cell holds its tile's faces, or one of two sentinels that both
+    # present glue 0; they are lists so that they are distinct objects.
+    side = width + 2
+    origin = side + 1
+    empty, border = [0] * 4, [0] * 4
+    cells = [border] * (side * (height + 2))
+    for x in range(height):
+        cells[origin + x * side:origin + x * side + width] = [empty] * width
+    index = {t.id: k for k, t in enumerate(tiles)}
+    for (x, y), tile in placements.items():
+        cells[origin + x * side + y] = faces[index[tile.id]]
 
-    def drop(pos: Position) -> None:
+    # Profile (packed as one int) -> indices of the tiles it accepts, in
+    # id order.  The candidates at a cell depend only on its profile.
+    candidates: dict[int, tuple[int, ...]] = {}
+    # The frontier as a flat list of (cell, tile index) pairs, so that a
+    # uniform draw is one index, plus each frontier cell's indices into it
+    # for swap-removal.  Neighbors are refreshed N, S, E, W; that order
+    # fixes the frontier's order and so which pair each draw picks.
+    pairs: list[tuple[int, int]] = []
+    slots: dict[int, list[int]] = {}
+
+    def drop(cell: int) -> None:
         # Descending order: the pair moved into a freed index is never
-        # one of pos's own.
-        for i in sorted(slots.pop(pos), reverse=True):
+        # one of the cell's own.
+        own = slots.pop(cell)
+        for i in own if len(own) == 1 else sorted(own, reverse=True):
             last = pairs.pop()
             if i < len(pairs):
                 pairs[i] = last
                 moved = slots[last[0]]
                 moved[moved.index(len(pairs))] = i
 
-    def refresh(pos: Position) -> None:
-        if pos in placements or not (0 <= pos[0] < height
-                                     and 0 <= pos[1] < width):
-            return
-        if pos in slots:
-            drop(pos)
-        tiles = candidates[_profile(placements, pos)]
-        if tiles:
-            slots[pos] = list(range(len(pairs), len(pairs) + len(tiles)))
-            pairs.extend([(pos, t) for t in tiles])
+    def refresh(cell: int) -> None:
+        # `cell` is empty and in bound.
+        if cell in slots:
+            drop(cell)
+        w, s = cells[cell - 1][2], cells[cell - side][3]
+        e, n = cells[cell + 1][0], cells[cell + side][1]
+        key = ((w * glues + s) * glues + e) * glues + n
+        found = candidates.get(key)
+        if found is None:
+            profile = (w, s, e, n)
+            found = candidates[key] = tuple(
+                k for k, f in enumerate(faces)
+                if _accepts(f, profile, strength, temperature, lax))
+        if len(found) == 1:  # the common case, in a directed system
+            slots[cell] = [len(pairs)]
+            pairs.append((cell, found[0]))
+        elif found:
+            slots[cell] = list(range(len(pairs), len(pairs) + len(found)))
+            pairs.extend([(cell, k) for k in found])
 
     for (x, y) in placements:
-        for dx, dy in _DELTAS:
-            refresh((x + dx, y + dy))
+        cell = origin + x * side + y
+        for near in (cell + side, cell - side, cell + 1, cell - 1):
+            if cells[near] is empty:
+                refresh(near)
 
     while pairs:
-        pos, tile = pairs[randrange(len(pairs))]
-        placements[pos] = tile
-        assembly.attachment_order.append(pos)
-        drop(pos)
-        x, y = pos
-        for dx, dy in _DELTAS:
-            refresh((x + dx, y + dy))
+        cell, k = pairs[randrange(len(pairs))]
+        cells[cell] = faces[k]
+        pos = divmod(cell - origin, side)
+        placements[pos] = tiles[k]
+        order.append(pos)
+        drop(cell)
+        if cells[cell + side] is empty:
+            refresh(cell + side)
+        if cells[cell - side] is empty:
+            refresh(cell - side)
+        if cells[cell + 1] is empty:
+            refresh(cell + 1)
+        if cells[cell - 1] is empty:
+            refresh(cell - 1)
     return assembly
 
 
@@ -258,21 +278,13 @@ class DirectednessResult:
     witness: tuple[Position, int | None, int | None] | None
 
 
-def first_divergence(runs: Iterable[Assembly]
-                     ) -> tuple[Position, int | None, int | None] | None:
-    """Compare each later run's placements with the first run's.
-
-    For the first run that differs, returns the first position (in
-    position order) where it does, with the two tile ids (None marks a
-    position one run never filled); None when every run placed the same
-    tiles.  Runs are consumed only up to the first that differs.
-    """
-    runs = iter(runs)
-    reference = next(runs).id_map()
-    for run in runs:
-        current = run.id_map()
-        if current == reference:
-            continue
+def divergence(reference: dict[Position, int], run: Assembly
+               ) -> tuple[Position, int | None, int | None] | None:
+    """The first position (in position order) where `run` placed another
+    tile than the id map `reference` names, with the two tile ids (None
+    marks a position one side never filled); None where they agree."""
+    current = run.id_map()
+    if current != reference:
         for pos in sorted(reference.keys() | current.keys()):
             a, b = reference.get(pos), current.get(pos)
             if a != b:
@@ -285,14 +297,17 @@ def is_directed_empirically(system: TileSystem, bound: tuple[int, int],
                             lax: bool = False) -> DirectednessResult:
     """Compare placement maps across independently seeded runs.
 
-    Returns the first position where two runs disagree, with the two tile
-    ids (None marks a position one run never filled).
+    Returns the first later run's divergence from run 0 (see
+    `divergence`); runs are grown only up to the first that differs.
     """
     if trials < 2:
         raise ValueError("at least two trials are required")
-    witness = first_divergence(
-        assemble_bounded(system, bound, base_seed + k, lax=lax)
-        for k in range(trials))
+    reference = assemble_bounded(system, bound, base_seed, lax=lax).id_map()
+    for k in range(1, trials):
+        witness = divergence(
+            reference, assemble_bounded(system, bound, base_seed + k, lax=lax))
+        if witness is not None:
+            break
     return DirectednessResult(witness is None, witness)
 
 
@@ -303,10 +318,32 @@ def replay_is_valid(assembly: Assembly, temperature: int,
     placements = assembly.placements
     if len(order) != len(placements) or set(order) != placements.keys():
         return False
-    partial = {pos: placements[pos] for pos in order[:assembly.seed_count]}
-    for pos in order[assembly.seed_count:]:
-        tile = placements[pos]
-        if not _accepts(tile.edges, _profile(partial, pos), temperature, lax):
-            return False
-        partial[pos] = tile
+    if not order:
+        return True
+    distinct = {id(t): t for t in placements.values()}
+    faces, strength = _intern(distinct.values())
+    faces_of = dict(zip(distinct, faces))
+    # Placed cells keyed by x * side + y.  With side two more than the
+    # span of the columns, the key of a position's neighbor is the key of
+    # no other position.
+    side = max(y for _, y in order) - min(y for _, y in order) + 2
+    cells: dict[int, tuple[int, ...]] = {}
+    get = cells.get
+    empty = (0, 0, 0, 0)
+    accepted: dict[tuple, bool] = {}
+    for step, pos in enumerate(order):
+        f = faces_of[id(placements[pos])]
+        x, y = pos
+        cell = x * side + y
+        if step >= assembly.seed_count:
+            profile = (get(cell - 1, empty)[2], get(cell - side, empty)[3],
+                       get(cell + 1, empty)[0], get(cell + side, empty)[1])
+            key = (f, profile)
+            ok = accepted.get(key)
+            if ok is None:
+                ok = accepted[key] = _accepts(f, profile, strength,
+                                              temperature, lax)
+            if not ok:
+                return False
+        cells[cell] = f
     return True

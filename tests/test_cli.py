@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fractile.matrix
-from fractile import (Coefficients, ResidueMatrix, assemble_bounded,
-                      carpet_system, delannoy_matrix)
+from fractile import (Assembly, Coefficients, ResidueMatrix,
+                      assemble_bounded, carpet_system, delannoy_matrix)
 from fractile.cli import main
 from fractile import formats
 from fractile.matrix import MAX_MODULUS
@@ -569,6 +569,18 @@ def test_render_palette_gap_is_an_input_error(tmp_path):
                "--palette", "0=255,255,255;1=0,0,0") == 2
 
 
+@pytest.mark.parametrize("palette", [
+    "+1=1,2,3;0_1=2,2,2", "1=+1,0_2,\u0663", "01=1,2,3"],
+    ids=["signed-residues", "channel-spellings", "leading-zero"])
+def test_render_palette_integers_are_exact(tmp_path, capsys, palette):
+    # the 1x1 grid holds residue 1 alone, so any reading of 1 would render
+    grid = tmp_path / "one.grid"
+    run("matrix", *CARPET_FLAGS, "--size", "1", "--out", str(grid))
+    assert run("render", str(grid), "--out", str(tmp_path / "x.ppm"),
+               "--palette", palette) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_render_rejects_unknown_source(tmp_path):
     src = tmp_path / "mystery.txt"
     src.write_text("who knows\n")
@@ -592,6 +604,15 @@ def test_verify_compares_directedness_only_across_trials(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith(" on 9x9, 5 trials")
     assert lines[-1] == "directedness: all trials placed identical tiles"
+
+
+def test_verify_maps_each_run_once(monkeypatch, capsys):
+    calls = []
+    id_map = Assembly.id_map
+    monkeypatch.setattr(Assembly, "id_map",
+                        lambda self: calls.append(1) or id_map(self))
+    assert run("verify", *CARPET_FLAGS, "--bound", "9", "--trials", "5") == 0
+    assert len(calls) == 5
 
 
 def test_verify_lax_agrees(capsys):

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractile import (Assembly, Coefficients, Direction, TileSystem, TileType,
-                      assemble_bounded, build_full_system, delannoy_rule,
-                      is_directed_empirically, prune_reachable,
-                      replay_is_valid)
+                      assemble_bounded, build_full_system, carpet_system,
+                      delannoy_rule, is_directed_empirically,
+                      prune_reachable, replay_is_valid)
 from fractile.formats import write_assembly
 
 W, S, E, N = Direction.W, Direction.S, Direction.E, Direction.N
@@ -35,13 +35,6 @@ def replays(placed, temperature=2, lax=False):
     first entry is the seed."""
     asm = Assembly(dict(placed), list(placed), 1)
     return replay_is_valid(asm, temperature, lax=lax)
-
-
-def test_direction_geometry():
-    assert N.delta == (1, 0) and S.delta == (-1, 0)
-    assert E.delta == (0, 1) and W.delta == (0, -1)
-    for d in Direction:
-        assert d.opposite.opposite is d
 
 
 def test_tile_type_validation():
@@ -223,17 +216,21 @@ def test_mod5_dump_digest_125():
     assert dump_sha256(system, (125, 125), 3) == DUMP_SHA256["t131-strict-125"]
 
 
+# Each side of a cell: the offset to its neighbor there, and the side of
+# that neighbor which faces the cell.
+NEIGHBORS = {N: ((1, 0), S), S: ((-1, 0), N), E: ((0, 1), W), W: ((0, -1), E)}
+
+
 def reference_attaches(placements, pos, tile, temperature, lax):
     """The documented attachment rule, edge by edge, for one tile."""
     x, y = pos
     total = 0
-    for d in Direction:
-        dx, dy = d.delta
+    for d, ((dx, dy), facing) in NEIGHBORS.items():
         neighbor = placements.get((x + dx, y + dy))
         if neighbor is None:
             continue
-        if (tile.color(d) == neighbor.color(d.opposite)
-                and tile.strength(d) == neighbor.strength(d.opposite)):
+        if (tile.color(d) == neighbor.color(facing)
+                and tile.strength(d) == neighbor.strength(facing)):
             total += tile.strength(d)
         elif not lax:
             return False
@@ -243,15 +240,28 @@ def reference_attaches(placements, pos, tile, temperature, lax):
 GLUE = st.tuples(st.sampled_from("ab"), st.integers(0, 2))
 
 
+def tile_sets():
+    edges = st.lists(st.tuples(GLUE, GLUE, GLUE, GLUE), min_size=1,
+                     max_size=6)
+    return edges.map(lambda es: tuple(TileType.make(i, f"t{i}", *e)
+                                      for i, e in enumerate(es)))
+
+
 @st.composite
 def growth_cases(draw):
-    edges = draw(st.lists(st.tuples(GLUE, GLUE, GLUE, GLUE),
-                          min_size=1, max_size=6))
-    tiles = tuple(TileType.make(i, f"t{i}", *e) for i, e in enumerate(edges))
-    system = TileSystem(tiles, {(0, 0): draw(st.sampled_from(tiles))},
-                        draw(st.integers(1, 3)))
-    bound = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    return system, bound
+    tiles = draw(tile_sets())
+    height, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    corners = [(0, 0), (0, width - 1), (height - 1, 0),
+               (height - 1, width - 1)]
+    cells = st.one_of(st.sampled_from(corners),
+                      st.tuples(st.integers(0, height - 1),
+                                st.integers(0, width - 1)))
+    # The seed dict keeps the drawn order, which growth's first pass uses.
+    seed = {pos: draw(st.sampled_from(tiles))
+            for pos in draw(st.lists(cells, min_size=1, max_size=3,
+                                     unique=True))}
+    system = TileSystem(tiles, seed, draw(st.integers(1, 3)))
+    return system, (height, width)
 
 
 @given(growth_cases(), st.integers(0, 2**32 - 1), st.booleans())
@@ -263,10 +273,11 @@ def test_candidates_match_per_tile_rule(case, order_seed, lax):
     temperature = system.temperature
     asm = assemble_bounded(system, (height, width), order_seed, lax=lax)
     order = asm.attachment_order
-    assert order[0] == (0, 0) and asm.seed_count == 1
+    assert asm.seed_count == len(system.seed)
+    assert order[:asm.seed_count] == sorted(system.seed)
     assert len(set(order)) == len(order) and set(order) == set(asm.placements)
-    partial = {(0, 0): asm.placements[(0, 0)]}
-    for pos in order[1:]:
+    partial = dict(system.seed)
+    for pos in order[asm.seed_count:]:
         assert 0 <= pos[0] < height and 0 <= pos[1] < width
         tile = asm.placements[pos]
         assert reference_attaches(partial, pos, tile, temperature, lax)
@@ -275,3 +286,68 @@ def test_candidates_match_per_tile_rule(case, order_seed, lax):
     for pos in empty:
         assert not any(reference_attaches(asm.placements, pos, t, temperature,
                                           lax) for t in system.tiles)
+
+
+@st.composite
+def replay_cases(draw):
+    # A hand-built assembly around an arbitrary, possibly negative, origin.
+    # Each position after the first neighbors an earlier one, and its tile
+    # mostly fits there, so that valid orders are common.
+    tiles = draw(tile_sets())
+    temperature, lax = draw(st.integers(1, 3)), draw(st.booleans())
+    seed_count = draw(st.integers(0, 2))
+    order = [(draw(st.integers(-10**6, 10**6)),
+              draw(st.integers(-10**6, 10**6)))]
+    for _ in range(draw(st.integers(0, 9))):
+        x, y = draw(st.sampled_from(order))
+        dx, dy = draw(st.sampled_from([d for d, _ in NEIGHBORS.values()]))
+        if (x + dx, y + dy) not in order:
+            order.append((x + dx, y + dy))
+    placements = {}
+    for step, pos in enumerate(order):
+        fits = [t for t in tiles
+                if reference_attaches(placements, pos, t, temperature, lax)]
+        pick = fits if fits and step >= seed_count and draw(
+            st.integers(0, 9)) else tiles
+        placements[pos] = draw(st.sampled_from(pick))
+    asm = Assembly(placements, order, min(seed_count, len(order)))
+    return asm, temperature, lax
+
+
+@given(replay_cases())
+@settings(max_examples=300)
+def test_replay_matches_per_tile_rule(case):
+    asm, temperature, lax = case
+    partial = {pos: asm.placements[pos]
+               for pos in asm.attachment_order[:asm.seed_count]}
+    expected = True
+    for pos in asm.attachment_order[asm.seed_count:]:
+        tile = asm.placements[pos]
+        if not reference_attaches(partial, pos, tile, temperature, lax):
+            expected = False
+            break
+        partial[pos] = tile
+    assert replay_is_valid(asm, temperature, lax=lax) == expected
+
+
+def full_1225_system():
+    return build_full_system(delannoy_rule(Coefficients(1, 2, 2, 5)))
+
+
+# SHA-256 over the lines f"{x} {y} {tile id}\n" of each attachment, in
+# attachment order.  Dumps do not record the order; these pin the seeded
+# draws themselves.  The twins are the benchmark's twins system.
+@pytest.mark.parametrize("make, bound, order_seed, lax, expected", [
+    (carpet_system, (81, 81), 17, False,
+     "9657649cf6a255d8587229a84cef38d0f0ae241a225d272e32fce4fc0aff94c0"),
+    (ambiguous_system, (1, 6), 5, False,
+     "87905e971df06f9f3f6a6f2bef9fd85160afedfc2b9386f9569ca193af54c487"),
+    (full_1225_system, (50, 40), 3, True,
+     "259dee46eea2498bfd2440fae6817ff23e258332d43610cf301cca61f50b0ca5"),
+], ids=["carpet-strict-81", "twins-1x6", "full-1225-lax-50x40"])
+def test_attachment_order_is_pinned(make, bound, order_seed, lax, expected):
+    asm = assemble_bounded(make(), bound, order_seed, lax=lax)
+    digest = hashlib.sha256()
+    for x, y in asm.attachment_order:
+        digest.update(f"{x} {y} {asm.placements[(x, y)].id}\n".encode())
+    assert digest.hexdigest() == expected
