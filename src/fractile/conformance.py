@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import check_cells
-from .tam import (Assembly, Direction, Position, assemble_bounded,
+from .tam import (Assembly, Position, assemble_bounded, check_growth_bound,
                   divergence)
 from .tilegen import (LocalRule, build_full_system, build_tile,
                       prune_reachable, rule_matrix, scan_windows, symbol_token,
@@ -106,7 +105,7 @@ def verify_self_assembly(rule: LocalRule, bound: tuple[int, int],
         raise ValueError("at least one trial is required")
     if bound[0] < rule.n or bound[1] < rule.n:
         raise ValueError("bound must be at least n x n")
-    check_cells(*bound, "bound")
+    check_growth_bound(*bound)
     if system is None:
         system = prune_reachable(build_full_system(rule), rule, bound)
     expected = rule_matrix(rule, bound[0], bound[1])
@@ -194,10 +193,11 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
             if y > 0 and (x, y - 1) not in occupied:
                 record("downward_closed", step, pos, "west neighbor missing")
         tile = assembly.placements[pos]
-        if tile.strength(Direction.E) == 2 and x != 0:
+        # strengths are stored W, S, E, N
+        if tile.strengths[2] == 2 and x != 0:
             record("east_strength2_in_row0", step, pos,
                    f"tile {tile.id} has a strength-2 east edge off row 0")
-        if tile.strength(Direction.N) == 2 and y != 0:
+        if tile.strengths[3] == 2 and y != 0:
             record("north_strength2_in_col0", step, pos,
                    f"tile {tile.id} has a strength-2 north edge off column 0")
         want = tiles[window_at(expected, x, y, rule.n)]

@@ -57,8 +57,9 @@ class TileType:
     def __post_init__(self) -> None:
         if len(self.colors) != 4 or len(self.strengths) != 4:
             raise ValueError("tiles carry exactly four edges")
-        if any(s not in (0, 1, 2) for s in self.strengths):
-            raise ValueError("edge strengths must be 0, 1, or 2")
+        for s in self.strengths:
+            if s not in (0, 1, 2):
+                raise ValueError("edge strengths must be 0, 1, or 2")
 
     @cached_property
     def edges(self) -> tuple[Glue, Glue, Glue, Glue]:
@@ -169,6 +170,23 @@ def _accepts(faces: tuple[int, ...], profile: tuple[int, ...],
     return total >= temperature
 
 
+# Largest bound that growth accepts.  Growth peaks at about 154 B per
+# cell (tracemalloc, the carpet grown at 729 x 729), so 2^24 cells
+# (4096 x 4096) take about 2.6 GB; a larger bound is refused before
+# anything is allocated.
+MAX_GROWTH_CELLS = 2 ** 24
+
+
+def check_growth_bound(height: int, width: int) -> None:
+    """Refuse a bound that `check_cells` refuses, or one over
+    MAX_GROWTH_CELLS cells."""
+    check_cells(height, width, "bound")
+    if height * width > MAX_GROWTH_CELLS:
+        raise ValueError(
+            f"bound {height}x{width} exceeds MAX_GROWTH_CELLS = "
+            f"{MAX_GROWTH_CELLS} cells (growth takes about 154 B per cell)")
+
+
 def assemble_bounded(system: TileSystem, bound: tuple[int, int],
                      order_seed: int, lax: bool = False) -> Assembly:
     """Grow the seed until the in-bounds frontier empties.
@@ -179,7 +197,7 @@ def assemble_bounded(system: TileSystem, bound: tuple[int, int],
     [0, height) x [0, width).
     """
     height, width = bound
-    check_cells(height, width, "bound")
+    check_growth_bound(height, width)
     for (x, y) in system.seed:
         if not (0 <= x < height and 0 <= y < width):
             raise ValueError("bound must contain the seed")

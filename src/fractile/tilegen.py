@@ -8,8 +8,11 @@ west/south glues spell the window and whose east/north glues spell the
 windows of the successor cells, so cooperative temperature-2 growth
 reproduces the matrix cell by cell from a single seed tile.  A window
 is a plain (west, south) pair of symbol tuples: `window_at` reads one
-from a label grid, `scan_windows` collects them, and `build_tile`
-compiles one.
+from a label grid, each of its rows one slice of a grid row padded with
+⊥ off the quadrant, `scan_windows` collects them, and `build_tile`
+compiles one.  Glue text is built once per distinct west vector and
+south submatrix: `build_full_system` shares that text across its whole
+domain, and only the computed cell's token is new in each tile.
 
 Edge strengths are 1 except on the axes: the seed bonds eastward and
 northward at strength 2, first-row tiles bond east-west at strength 2,
@@ -20,12 +23,12 @@ nonempty south submatrix) bond north-south at strength 2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
 from .matrix import BOTTOM, Coefficients, check_cells
-from .tam import Direction, TileSystem, TileType
+from .tam import TileSystem, TileType
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
 _GLUE_SEPARATORS = re.compile(r"[(),|]")
@@ -97,18 +100,25 @@ class LocalRule:
 def window_at(labels: Sequence[Sequence], x: int, y: int,
               n: int) -> tuple[tuple, tuple]:
     """The (west, south) window at (x, y) read from a label grid; ⊥
-    off-quadrant."""
+    off-quadrant.
 
-    def get(i: int, j: int):
-        if i < 0 or j < 0:
-            return BOTTOM
-        return labels[i][j]
-
-    west = tuple(get(x, y - n + 1 + m) for m in range(n - 1))
-    south = tuple(
-        tuple(get(x - i, y - n + 1 + m) for m in range(n))
-        for i in range(1, n))
-    return west, south
+    (x, y) lies in the first quadrant, and the grid holds row x west of
+    column y and the n-1 rows below it through column y.  Each row of the
+    window is one slice of a grid row, padded with ⊥ on the west where it
+    runs off the quadrant; rows below row 0 are all ⊥.
+    """
+    lo = y - n + 1
+    if lo < 0:
+        pad, lo = (BOTTOM,) * -lo, 0
+    else:
+        pad = ()
+    west = pad + tuple(labels[x][lo:y])
+    stop = y + 1
+    south = []
+    for r in range(x - 1, x - n, -1):
+        south.append(pad + tuple(labels[r][lo:stop]) if r >= 0
+                     else (BOTTOM,) * n)
+    return west, tuple(south)
 
 
 def scan_windows(rule: LocalRule, height: int,
@@ -149,29 +159,63 @@ def build_tile(rule: LocalRule, window: tuple[tuple, tuple],
             or any(len(row) != n for row in south)):
         raise ValueError("window must have n-1 west cells and n-1 south "
                          "rows of width n")
+    return _compile(rule, west, south, tile_id, ({}, {}))
+
+
+def _west_text(west: tuple) -> tuple[str, str, str, bool]:
+    """The west glue; the completed row and the east glue up to the
+    computed cell's token, which a ')' follows (an empty east head: the
+    east glue is the bare token); and whether the vector is all ⊥."""
+    tokens = [symbol_token(s) for s in west]
+    east_head = "(" + ",".join(tokens[1:]) + "," if len(tokens) > 1 else ""
+    return (glue_vector(west), "(" + ",".join(tokens) + ",", east_head,
+            all(s is BOTTOM for s in west))
+
+
+def _south_text(south: tuple) -> tuple[str, str, bool]:
+    """The south glue; the north glue up to the completed row (the south
+    rows it keeps, each followed by '|'); and whether the submatrix is
+    all ⊥."""
+    kept = south[:-1]
+    return (glue_rows(south), glue_rows(kept) + "|" if kept else "",
+            all(s is BOTTOM for row in south for s in row))
+
+
+def _compile(rule: LocalRule, west: tuple, south: tuple, tile_id: int,
+             memo: tuple[dict, dict]) -> TileType:
+    """`build_tile` of a well-formed window.  `memo` holds the text of
+    each west vector and south submatrix already compiled.  Its keys
+    must compare equal only when they serialize alike: a shared memo
+    sees only the domain's symbols, which are pairwise unequal, and a
+    fresh one a single window.  The computed cell is tokenized afresh
+    and never a key, since it may equal an alphabet symbol that
+    serializes differently (True and 1)."""
+    wests, souths = memo
+    w = wests.get(west)
+    if w is None:
+        w = wests[west] = _west_text(west)
+    s = souths.get(south)
+    if s is None:
+        s = souths[south] = _south_text(south)
+    west_glue, row_head, east_head, west_bottom = w
+    south_glue, north_head, south_bottom = s
     b = rule.evaluate(west, south)
     if b not in rule.alphabet:
         raise ValueError(f"rule produced {b!r}, which is not in its alphabet")
-    east = west[1:] + (b,)
-    completed_row = west + (b,)
-    north_rows = (completed_row,) + south[:-1]
+    token = symbol_token(b)
+    east_glue = east_head + token + ")" if east_head else token
+    north_glue = north_head + row_head + token + ")"
 
-    west_all_bottom = all(s is BOTTOM for s in west)
-    south_all_bottom = all(s is BOTTOM for row in south for s in row)
-    strengths = {"W": 1, "S": 1, "E": 1, "N": 1}
-    if south_all_bottom and west_all_bottom:
-        strengths["N"] = strengths["E"] = 2
-    elif south_all_bottom:
-        strengths["W"] = strengths["E"] = 2
-    elif west_all_bottom:
-        strengths["S"] = strengths["N"] = 2
-
-    return TileType.make(
-        tile_id, symbol_token(b),
-        west=(glue_vector(west), strengths["W"]),
-        south=(glue_rows(south), strengths["S"]),
-        east=(glue_vector(east), strengths["E"]),
-        north=(glue_rows(north_rows), strengths["N"]))
+    strength_w = strength_s = strength_e = strength_n = 1
+    if south_bottom and west_bottom:
+        strength_e = strength_n = 2
+    elif south_bottom:
+        strength_w = strength_e = 2
+    elif west_bottom:
+        strength_s = strength_n = 2
+    return TileType(tile_id, token,
+                    (west_glue, south_glue, east_glue, north_glue),
+                    (strength_w, strength_s, strength_e, strength_n))
 
 
 def _domain_windows(rule: LocalRule):
@@ -193,17 +237,11 @@ def build_full_system(rule: LocalRule, budget: int = 10 ** 6) -> TileSystem:
     if count > budget:
         raise ValueError(
             f"domain has {count} windows, over the budget of {budget}")
-    tiles = tuple(build_tile(rule, window, tile_id)
-                  for tile_id, window in enumerate(_domain_windows(rule)))
+    memo: tuple[dict, dict] = ({}, {})
+    tiles = tuple(_compile(rule, west, south, tile_id, memo)
+                  for tile_id, (west, south)
+                  in enumerate(_domain_windows(rule)))
     return TileSystem(tiles, {(0, 0): tiles[0]}, 2)
-
-
-def _window_key(tile: TileType) -> tuple[str, str]:
-    return (tile.color(Direction.W), tile.color(Direction.S))
-
-
-def _mentions_bottom(key: tuple[str, str]) -> bool:
-    return any("_" in _GLUE_SEPARATORS.split(part) for part in key)
 
 
 def _axis_windows(rule: LocalRule, height: int, width: int) -> set:
@@ -226,14 +264,19 @@ def prune_reachable(system: TileSystem, rule: LocalRule,
     """
     occurring = {(glue_vector(west), glue_rows(south))
                  for west, south in _axis_windows(rule, *horizon)}
+    # The west and south glues that mention ⊥, each glue read once.
+    glues = {glue for tile in system.tiles for glue in tile.colors[0:2]}
+    with_bottom = {glue for glue in glues
+                   if "_" in _GLUE_SEPARATORS.split(glue)}
     kept = []
     seed_tile = None
-    seed_keys = {_window_key(t) for t in system.seed.values()}
+    seed_keys = {t.colors[0:2] for t in system.seed.values()}
     for tile in system.tiles:
-        key = _window_key(tile)
-        if _mentions_bottom(key) and key not in occurring:
+        key = tile.colors[0:2]
+        if key not in occurring and not with_bottom.isdisjoint(key):
             continue
-        new_tile = replace(tile, id=len(kept))
+        new_tile = TileType(len(kept), tile.label, tile.colors,
+                            tile.strengths)
         kept.append(new_tile)
         if key in seed_keys:
             seed_tile = new_tile

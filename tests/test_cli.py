@@ -487,6 +487,34 @@ def test_bound_over_the_cell_limit_exits_2(tmp_path, capsys, monkeypatch,
     assert "MAX_CELLS" in captured.err
 
 
+@pytest.mark.parametrize("command,bound", [
+    ("simulate", ("4097", "4096")),
+    ("verify", ("4097",)),   # verify grows squares: the least one over
+], ids=["simulate", "verify"])
+def test_bound_over_the_growth_cap_exits_2(tmp_path, capsys, command, bound):
+    # 4097 x 4096 is one row over MAX_GROWTH_CELLS = 4096^2 cells, and its
+    # flat grid alone would take 134 MB, so it must be refused ungrown
+    tiles = tmp_path / "carpet.tiles"
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
+    capsys.readouterr()
+    argv = {"simulate": ["simulate", "--tileset", str(tiles),
+                         "--out", str(tmp_path / "a.dump")],
+            "verify": ["verify", *CARPET_FLAGS, "--trials", "1"]}[command]
+    tracemalloc.start()
+    try:
+        code = run(*argv, "--bound", *bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2 ** 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "MAX_GROWTH_CELLS" in captured.err
+    assert not (tmp_path / "a.dump").exists()
+
+
 def test_parse_assembly_accepts_bound_after_placements():
     text = "assembly v1\nplace 1 0 4 2\nplaced 1\nbound 2 1\n"
     assert formats.parse_assembly(text) == ((2, 1), {(1, 0): (4, "2")})

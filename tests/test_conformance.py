@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import tracemalloc
 
 import pytest
@@ -70,6 +72,9 @@ def test_verify_keeps_no_run_but_the_first_alive():
         del run
         peaks = []
         for trials in (2, 8):
+            # a full collection empties CPython's free lists, whose freed
+            # tuples tracemalloc would otherwise count as still allocated
+            gc.collect()
             tracemalloc.reset_peak()
             verify_self_assembly(rule, bound, trials, system=system)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -203,3 +208,32 @@ def test_induction_report_rendering(carpet):
     asm = assemble_bounded(carpet, (3, 3), 0)
     report = check_induction_clauses(asm, delannoy_rule(CARPET))
     assert all(": holds" in line for line in report.to_lines())
+
+
+# SHA-256 of the induction report's lines for the carpet grown at 81 x 81
+# with seed 11, clean and with (40, 17) replaced by the first carpet tile
+# of another surface; recorded before windows were read as row slices.
+INDUCTION_PINS = {
+    "clean":
+        "436cf15eae86c746030e00d91ed23028846cdf395299aaebb3d57a7ed9544fe3",
+    "transplant":
+        "6ae5004545691de189f6fde18a32fd5341963ab70fe3d97f92373fee88d97a6c",
+}
+
+
+def test_induction_report_digest_pins(carpet):
+    rule = delannoy_rule(CARPET)
+    asm = assemble_bounded(carpet, (81, 81), 11)
+
+    def digest():
+        text = "\n".join(check_induction_clauses(asm, rule).to_lines())
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest() == INDUCTION_PINS["clean"]
+    asm.placements[(40, 17)] = next(
+        t for t in carpet.tiles
+        if not t.same_surface(asm.placements[(40, 17)]))
+    assert digest() == INDUCTION_PINS["transplant"]
+    failed = [c for c in check_induction_clauses(asm, rule).clauses
+              if not c.holds]
+    assert len(failed) == 3 and all(c.violation[0] == 2023 for c in failed)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from fractile import (Assembly, Coefficients, Direction, TileSystem, TileType,
                       assemble_bounded, build_full_system, carpet_system,
                       delannoy_rule, is_directed_empirically,
-                      prune_reachable, replay_is_valid)
+                      prune_reachable, replay_is_valid, verify_self_assembly)
 from fractile.formats import write_assembly
+from fractile.tam import MAX_GROWTH_CELLS, check_growth_bound
 
 W, S, E, N = Direction.W, Direction.S, Direction.E, Direction.N
 
@@ -351,3 +352,16 @@ def test_attachment_order_is_pinned(make, bound, order_seed, lax, expected):
     for x, y in asm.attachment_order:
         digest.update(f"{x} {y} {asm.placements[(x, y)].id}\n".encode())
     assert digest.hexdigest() == expected
+
+
+def test_growth_cap_is_checked_before_allocating(carpet):
+    # the cap is 4096^2 cells; nothing near it is grown here
+    assert MAX_GROWTH_CELLS == 4096 ** 2
+    check_growth_bound(4096, 4096)
+    check_growth_bound(1, MAX_GROWTH_CELLS)
+    for bound in ((4097, 4096), (4096, 4097), (1, MAX_GROWTH_CELLS + 1)):
+        with pytest.raises(ValueError, match="MAX_GROWTH_CELLS"):
+            assemble_bounded(carpet, bound, 0)
+    with pytest.raises(ValueError, match="MAX_GROWTH_CELLS"):
+        verify_self_assembly(delannoy_rule(Coefficients(1, 1, 1, 3)),
+                             (4097, 4096), 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractile import (BOTTOM, Coefficients, Direction, LocalRule,
+from fractile import (BOTTOM, Coefficients, Direction, LocalRule, TileType,
                       assemble_bounded, build_full_system, build_tile,
                       delannoy_matrix, delannoy_rule, horizon_is_stable,
                       prune_reachable, rule_matrix, window_at)
@@ -368,3 +368,132 @@ def test_uniform_tileset_is_exact_at_p_plus_one(p):
         assert len(near.tiles) == \
             p ** 3 + 1 + len(powers(a, p)) + len(powers(c, p)), (a, b, c)
 
+
+# SHA-256 of the unpruned tileset file, recorded before windows were read
+# as row slices and glue text was built once per rule.
+FULL_PINS = [
+    (lambda: delannoy_rule(CARPET), 64,
+     "50c4a47423310883aef173933d8f11e1890b0a227d72b9e637c50f34c54afd70"),
+    (lambda: delannoy_rule(Coefficients(2, 0, 3, 7)), 512,
+     "0c1ea302e3fa68df60ee5e5eda2fee52d9c4033b95d7749f6930351d99905e97"),
+    (window_sum_rule, 6561,
+     "1f00364dbf3a82a5b0301151422f52568654d0e233cc5d3e1e5660fdef004ee6"),
+]
+
+
+@pytest.mark.parametrize("make_rule,count,digest", FULL_PINS,
+                         ids=["carpet", "2-0-3-7", "window-sum"])
+def test_full_tileset_digest_pins(make_rule, count, digest):
+    full = build_full_system(make_rule())
+    assert len(full.tiles) == count
+    text = write_tileset(full)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def reference_window(labels, x, y, n):
+    """Definitional reader: one lookup per cell, ⊥ at a negative
+    coordinate."""
+
+    def get(i, j):
+        if i < 0 or j < 0:
+            return BOTTOM
+        return labels[i][j]
+
+    west = tuple(get(x, y - n + 1 + m) for m in range(n - 1))
+    south = tuple(tuple(get(x - i, y - n + 1 + m) for m in range(n))
+                  for i in range(1, n))
+    return west, south
+
+
+@given(st.integers(2, 4), st.integers(1, 9), st.integers(1, 9), st.data())
+@settings(max_examples=40)
+def test_window_at_equals_per_cell_reader(n, height, width, data):
+    row = st.lists(st.integers(0, 9), min_size=width, max_size=width)
+    labels = data.draw(st.lists(row, min_size=height, max_size=height))
+    for x in range(height):
+        for y in range(width):
+            assert window_at(labels, x, y, n) == \
+                reference_window(labels, x, y, n), (x, y)
+
+
+def reference_build_tile(rule, window, tile_id=0):
+    """Per-symbol glue construction: every glue serialized from its
+    symbols, each tile on its own."""
+    west, south = window
+    b = rule.evaluate(west, south)
+    west_bottom = all(s is BOTTOM for s in west)
+    south_bottom = all(s is BOTTOM for row in south for s in row)
+    strengths = {"W": 1, "S": 1, "E": 1, "N": 1}
+    if south_bottom and west_bottom:
+        strengths["N"] = strengths["E"] = 2
+    elif south_bottom:
+        strengths["W"] = strengths["E"] = 2
+    elif west_bottom:
+        strengths["S"] = strengths["N"] = 2
+    return TileType.make(
+        tile_id, symbol_token(b),
+        west=(glue_vector(west), strengths["W"]),
+        south=(glue_rows(south), strengths["S"]),
+        east=(glue_vector(west[1:] + (b,)), strengths["E"]),
+        north=(glue_rows((west + (b,),) + south[:-1]), strengths["N"]))
+
+
+ALPHABETS = (range(3), ("x", "y_", "Z.1", "-4"), (0, 1))
+
+
+def salted_rule(n, alphabet, salt):
+    """A rule defined on every window, ⊥ included, that depends on each
+    position's symbol."""
+    index = {s: k for k, s in enumerate(alphabet)}
+
+    def evaluate(west, south):
+        cells = west + tuple(s for row in south for s in row)
+        code = sum((index.get(s, len(alphabet)) + 1) * (salt + m)
+                   for m, s in enumerate(cells))
+        return alphabet[code % len(alphabet)]
+
+    return LocalRule(n, alphabet, evaluate)
+
+
+@given(st.integers(2, 4), st.sampled_from(ALPHABETS), st.integers(0, 50),
+       st.data())
+@settings(max_examples=60)
+def test_build_tile_equals_per_symbol_glues(n, alphabet, salt, data):
+    rule = salted_rule(n, alphabet, salt)
+    symbol = st.sampled_from((BOTTOM, *alphabet))
+    west = tuple(data.draw(st.lists(symbol, min_size=n - 1,
+                                    max_size=n - 1)))
+    south = tuple(tuple(data.draw(st.lists(symbol, min_size=n, max_size=n)))
+                  for _ in range(n - 1))
+    tile = build_tile(rule, (west, south), 7)
+    assert tile == reference_build_tile(rule, (west, south), 7)
+
+
+def reference_full_tiles(rule):
+    """Each window of the domain, ⊥ first, compiled on its own."""
+    symbols, n = (BOTTOM, *rule.alphabet), rule.n
+    windows = [(west, south) for west in product(symbols, repeat=n - 1)
+               for south in product(product(symbols, repeat=n),
+                                    repeat=n - 1)]
+    return [reference_build_tile(rule, w, k) for k, w in enumerate(windows)]
+
+
+@pytest.mark.parametrize("n,size", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_full_system_equals_per_symbol_glues(n, size):
+    for alphabet in (range(size), ("x", "y_", "Z.1")[:size]):
+        rule = salted_rule(n, alphabet, size)
+        assert list(build_full_system(rule).tiles) == \
+            reference_full_tiles(rule)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_true_is_not_merged_with_one(n):
+    # True == 1 and hashes alike, but serializes as "True": the computed
+    # cell's token is never taken from text built for the symbol 1
+    rule = LocalRule(n, (0, 1), lambda west, south: west[-1] == 1)
+    full = build_full_system(rule)
+    assert {t.label for t in full.tiles} == {"True", "False"}
+    assert list(full.tiles) == reference_full_tiles(rule)
+    tile = build_tile(rule, ((0,) * (n - 2) + (1,), ((1,) * n,) * (n - 1)))
+    assert tile.label == "True"
+    assert tile.color(E) == ("True" if n == 2 else "(1,True)")
