@@ -33,7 +33,8 @@ def main() -> None:
 
     for side in (9, 27, 81):
         m = delannoy_matrix(Coefficients(1, 1, 1, 3), side, side)
-        save(outdir / f"carpet-{side}.ppm", m.entries, 3, args.cell_size)
+        save(outdir / f"carpet-{side}.ppm", m.entries.tolist(), 3,
+             args.cell_size)
 
     assembly = assemble_bounded(carpet_system(), (27, 27), order_seed=0)
     grid = [[int(assembly.placements[(x, y)].label) for y in range(27)]
@@ -41,7 +42,8 @@ def main() -> None:
     save(outdir / "carpet-sim-27.ppm", grid, 3, args.cell_size)
 
     five = delannoy_matrix(Coefficients(1, 2, 2, 5), 125, 125)
-    save(outdir / "five-color-125.ppm", five.entries, 5, args.cell_size)
+    save(outdir / "five-color-125.ppm", five.entries.tolist(), 5,
+         args.cell_size)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 Subcommands: matrix, selfsim, tileset, simulate, render, verify.
 Exit codes: 0 on success, 1 when a verified property fails, 2 for
-usage or input errors.  Only matrix, selfsim, render and simulate --image
-load numpy; a module that one command alone uses is imported by it.
+usage or input errors.  Each command imports the fractile modules it
+runs, after its cheap argument checks, so a child process loads only
+those: only matrix and selfsim load numpy, and a refused command loads
+little more than `matrix`.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import formats, matrix, tam, tilegen
+if TYPE_CHECKING:  # each command imports what it runs
+    from .formats import RenderSpec
+    from .matrix import Coefficients
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -22,13 +27,16 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _coefficients(args) -> matrix.Coefficients:
-    return matrix.Coefficients(args.a, args.b, args.c, args.p)
+def _coefficients(args) -> Coefficients:
+    from .matrix import Coefficients
+    return Coefficients(args.a, args.b, args.c, args.p)
 
 
 def cmd_matrix(args) -> int:
-    m = matrix.delannoy_matrix(_coefficients(args), args.size, args.size)
-    _write_text(args.out, formats.write_grid(m))
+    from .matrix import delannoy_matrix
+    m = delannoy_matrix(_coefficients(args), args.size, args.size)
+    from .formats import write_grid
+    _write_text(args.out, write_grid(m))
     return 0
 
 
@@ -38,33 +46,37 @@ def cmd_selfsim(args) -> int:
     if corrupt is not None and not all(0 <= v < args.size for v in corrupt):
         raise ValueError(f"--corrupt cell {tuple(corrupt)} is outside the "
                          f"{args.size}x{args.size} window")
-    from . import selfsim
-    matrix.check_cells(args.size, args.size, "window")
-    selfsim.check_side(args.size, coeffs.p)
-    m = matrix.delannoy_matrix(coeffs, args.size, args.size)
+    from .matrix import ResidueMatrix, check_cells, delannoy_matrix
+    check_cells(args.size, args.size, "window")
+    from .selfsim import check_self_similarity, check_side
+    check_side(args.size, coeffs.p)
+    m = delannoy_matrix(coeffs, args.size, args.size)
     if corrupt is not None:
         x, y = corrupt
         ent = m.entries  # unshared, so perturbed in place, not copied
         ent.setflags(write=True)
         ent[x, y] = (ent[x, y] + 1) % coeffs.p
-        m = matrix.ResidueMatrix(coeffs.p, ent)
-    report = selfsim.check_self_similarity(m, coeffs.p)
+        m = ResidueMatrix(coeffs.p, ent)
+    report = check_self_similarity(m, coeffs.p)
     for line in report.to_lines():
         print(line)
     return 0 if report.holds else 1
 
 
 def cmd_tileset(args) -> int:
-    rule = tilegen.delannoy_rule(_coefficients(args))
+    coeffs = _coefficients(args)
+    from .tilegen import build_full_system, delannoy_rule, prune_reachable
+    rule = delannoy_rule(coeffs)
     budget = {} if args.budget is None else {"budget": args.budget}
-    system = tilegen.build_full_system(rule, **budget)
+    system = build_full_system(rule, **budget)
     if not args.no_prune:
         # Windows mentioning ⊥ hold row 0 (a^j) and column 0 (c^i); a unit's
         # powers all occur among its first p - 1, and a = 0 gives 1, 0, 0,
         # ..., so p + 1 cells along each axis show them all.
         side = args.p + 1
-        system = tilegen.prune_reachable(system, rule, (side, side))
-    _write_text(args.out, formats.write_tileset(system))
+        system = prune_reachable(system, rule, (side, side))
+    from .formats import write_tileset
+    _write_text(args.out, write_tileset(system))
     return 0
 
 
@@ -73,15 +85,17 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--bound takes 1 or 2 values, got {len(args.bound)}")
     spec = _render_spec(args)
     text = Path(args.tileset).read_text()
+    from . import formats
     system = formats.parse_tileset(text)
     bound = (args.bound[0], args.bound[-1])
-    assembly = tam.assemble_bounded(system, bound, args.seed, lax=args.lax)
+    from .tam import assemble_bounded
+    assembly = assemble_bounded(system, bound, args.seed, lax=args.lax)
     _write_text(args.out, formats.write_assembly(assembly, bound))
     if args.image is not None:
-        grid = formats.assembly_value_grid(
+        rows = formats.assembly_value_grid(
             {pos: (t.id, t.label) for pos, t in assembly.placements.items()},
             bound)
-        Path(args.image).write_bytes(formats.render_cells(grid, None, spec))
+        Path(args.image).write_bytes(formats.render_cells(rows, None, spec))
     if len(assembly) < bound[0] * bound[1]:
         print(f"assembly stalled at {len(assembly)} of "
               f"{bound[0] * bound[1]} cells", file=sys.stderr)
@@ -89,41 +103,43 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _render_spec(args) -> formats.RenderSpec:
+def _render_spec(args) -> RenderSpec:
     """The render flags, checked before any work."""
-    palette = (None if args.palette is None
-               else formats.parse_palette(args.palette))
-    return formats.RenderSpec(palette, args.cell_size, not args.zero_color)
+    from .formats import RenderSpec, parse_palette
+    palette = None if args.palette is None else parse_palette(args.palette)
+    return RenderSpec(palette, args.cell_size, not args.zero_color)
 
 
 def cmd_render(args) -> int:
     spec = _render_spec(args)
     text = Path(args.source).read_text()
+    from . import formats
     header, _ = formats.split_header(text)
     if header == formats.GRID_HEADER:
-        m = formats.parse_grid(text)
-        values, modulus = m.entries, m.modulus
+        modulus, rows = formats.grid_rows(text)
     elif header == formats.ASSEMBLY_HEADER:
         bound, placements = formats.parse_assembly(text)
-        values, modulus = formats.assembly_value_grid(placements, bound), None
+        rows, modulus = formats.assembly_value_grid(placements, bound), None
     else:
         raise formats.FormatError(
             f"source must start with '{formats.GRID_HEADER}' or "
             f"'{formats.ASSEMBLY_HEADER}'")
-    Path(args.out).write_bytes(formats.render_cells(values, modulus, spec))
+    Path(args.out).write_bytes(formats.render_cells(rows, modulus, spec))
     return 0
 
 
 def cmd_verify(args) -> int:
-    from . import conformance
-    rule = tilegen.delannoy_rule(_coefficients(args))
+    coeffs = _coefficients(args)
     system = None
     if args.tileset is not None:
-        system = formats.parse_tileset(Path(args.tileset).read_text())
+        from .formats import parse_tileset
+        system = parse_tileset(Path(args.tileset).read_text())
+    from .conformance import verify_self_assembly
+    from .tilegen import delannoy_rule
     bound = (args.bound, args.bound)
-    report = conformance.verify_self_assembly(
-        rule, bound, args.trials, base_seed=args.seed, lax=args.lax,
-        system=system)
+    report = verify_self_assembly(
+        delannoy_rule(coeffs), bound, args.trials, base_seed=args.seed,
+        lax=args.lax, system=system)
     for line in report.to_lines():
         print(line)
     return 0 if report.ok else 1

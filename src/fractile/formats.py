@@ -26,7 +26,11 @@ record has exactly its fields, integers written as `str()` writes them;
 `temperature`, `bound` and `placed` appear at most once.  Assembly dumps
 are written in position order, not attachment order, so two runs of a
 directed system produce byte-identical dumps.  Images are binary portable
-pixmaps (P6) with matrix row 0 along the bottom edge.
+pixmaps (P6) with matrix row 0 along the bottom edge, built from rows of
+ints in pure Python.
+
+Only `parse_grid` loads numpy, and only `parse_tileset` loads `tam`, so
+a command that renders or reads a dump loads neither.
 """
 
 from __future__ import annotations
@@ -35,18 +39,14 @@ import colorsys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .matrix import ResidueMatrix, check_cells
-from .tam import Assembly, Direction, Position, TileSystem, TileType
+from .matrix import MAX_MODULUS, ResidueMatrix, check_cells
 
-if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
-    import numpy as np
+if TYPE_CHECKING:  # tam is imported by the one function that makes tiles
+    from .tam import Assembly, Position, TileSystem
 
 GRID_HEADER = "grid v1"
 TILESET_HEADER = "tileset v1"
 ASSEMBLY_HEADER = "assembly v1"
-
-_EDGE_LETTERS = (("W", Direction.W), ("S", Direction.S),
-                 ("E", Direction.E), ("N", Direction.N))
 
 # The fields of each record after its kind: "i" an integer, "s" a token.
 _TILESET_RECORDS = {"temperature": "i", "seed": "iii",
@@ -110,28 +110,49 @@ def write_grid(matrix: ResidueMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_grid(text: str) -> ResidueMatrix:
-    import numpy as np
+def grid_rows(text: str) -> tuple[int, list[list[int]]]:
+    """A grid file's modulus and its rows of ints, row 0 first.
+
+    Every check of a grid file is made here: the header, the dimension
+    line, the row count and width, integer text, a nonempty grid, a
+    modulus in [2, MAX_MODULUS] and entries in [0, modulus).
+    """
     lines = _body(text, GRID_HEADER)
     try:
-        height, width, modulus = (_integer(v) for v in lines[0].split())
+        height, width, modulus = map(_integer, lines[0].split())
     except (IndexError, ValueError) as exc:
         raise FormatError("malformed grid dimension line") from exc
-    rows = lines[1:]
-    if len(rows) != height:
-        raise FormatError(f"expected {height} rows, found {len(rows)}")
-    try:
-        data = [[_integer(v) for v in row.split()] for row in rows]
-    except ValueError as exc:
-        raise FormatError("grid entries must be integers") from exc
-    if any(len(row) != width for row in data):
-        raise FormatError("grid row width mismatch")
-    try:
-        return ResidueMatrix(modulus, np.array(data, dtype=np.int64))
-    except OverflowError as exc:
-        raise FormatError("grid entries must fit in int64") from exc
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    if modulus < 2:
+        raise FormatError("modulus must be at least 2")
+    if modulus > MAX_MODULUS:
+        raise FormatError(f"modulus {modulus} exceeds MAX_MODULUS = "
+                          f"{MAX_MODULUS}")
+    if height < 1 or width < 1:
+        raise FormatError("grid dimensions must be positive")
+    if len(lines) - 1 != height:
+        raise FormatError(f"expected {height} rows, found {len(lines) - 1}")
+    rows = []
+    for line in lines[1:]:
+        tokens = line.split()
+        try:
+            row = list(map(int, tokens))
+        except ValueError as exc:
+            raise FormatError("grid entries must be integers") from exc
+        # as in _integer: each entry is exactly the text str() writes
+        if list(map(str, row)) != tokens:
+            raise FormatError("grid entries must be integers")
+        if len(row) != width:
+            raise FormatError("grid row width mismatch")
+        if min(row) < 0 or max(row) >= modulus:
+            raise FormatError("entries must lie in [0, modulus)")
+        rows.append(row)
+    return modulus, rows
+
+
+def parse_grid(text: str) -> ResidueMatrix:
+    import numpy as np
+    modulus, rows = grid_rows(text)
+    return ResidueMatrix(modulus, np.array(rows, dtype=np.int64))
 
 
 def write_tileset(system: TileSystem) -> str:
@@ -140,13 +161,16 @@ def write_tileset(system: TileSystem) -> str:
         lines.append(f"seed {x} {y} {tile.id}")
     for tile in sorted(system.tiles, key=lambda t: t.id):
         parts = [f"tile {tile.id} {tile.label}"]
-        for letter, d in _EDGE_LETTERS:
-            parts.append(f"{letter} {tile.color(d)} {tile.strength(d)}")
+        # colors and strengths are stored in W, S, E, N order
+        for letter, color, strength in zip("WSEN", tile.colors,
+                                           tile.strengths):
+            parts.append(f"{letter} {color} {strength}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
 def parse_tileset(text: str) -> TileSystem:
+    from .tam import TileSystem, TileType
     temperature = None
     seed_ids: dict[Position, int] = {}
     tiles: list[tuple] = []  # TileType.make's arguments, made in the try
@@ -278,55 +302,58 @@ def parse_palette(spec: str) -> dict[int, RGB]:
     return palette
 
 
-def render_cells(values: np.ndarray, modulus: int | None,
+def render_cells(rows: list[list[int]], modulus: int | None,
                  spec: RenderSpec) -> bytes:
-    """Render a grid of residues to a binary P6 pixmap.
+    """Render rows of residues (Python ints, row 0 first, all of one
+    width) to a binary P6 pixmap.
 
     With no palette in `spec`, the default palette of the residues present
     is used, for `modulus`: a grid's p, or for assembly labels (None) one
     past the largest label.  Matrix row 0 becomes the bottom row of the
-    image.  Cells holding -1 (unplaced positions) render as white.
+    image.  Cells holding -1 (unplaced positions) render as white.  A
+    residue's pixels across one cell are one bytes block, so a pixel row
+    is a join of blocks, and each matrix row gives `cell_size` of them.
     """
-    import numpy as np
-    values = np.asarray(values)
-    check_cells(values.shape[0] * spec.cell_size,
-                values.shape[1] * spec.cell_size, "pixmap")
-    distinct, inverse = np.unique(values, return_inverse=True)
-    distinct = distinct.tolist()
+    size = spec.cell_size
+    height, width = len(rows), len(rows[0]) if rows else 0
+    check_cells(height * size, width * size, "pixmap")
+    distinct = sorted(set().union(*rows))
     palette = spec.palette
     if palette is None:
         palette = default_palette(
             distinct, distinct[-1] + 1 if modulus is None else modulus,
             spec.zero_as_background)
-    missing = {v for v in distinct if v >= 0} - set(palette)
+    missing = [v for v in distinct if v >= 0 and v not in palette]
     if missing:
-        raise FormatError(
-            f"palette does not cover residues {sorted(missing)}")
-    colors = np.array([palette.get(v, (255, 255, 255))
-                       for v in distinct], dtype=np.uint8).reshape(-1, 3)
-    # row 0 at the bottom
-    pixels = colors[np.flipud(inverse.reshape(values.shape))]
-    pixels = np.repeat(pixels, spec.cell_size, axis=0)
-    pixels = np.repeat(pixels, spec.cell_size, axis=1)
-    header = f"P6\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
-    return b"".join((header, pixels.data))
+        raise FormatError(f"palette does not cover residues {missing}")
+    block = {v: bytes(palette.get(v, (255, 255, 255))) * size
+             for v in distinct}
+    lines = [f"P6\n{width * size} {height * size}\n255\n".encode()]
+    for row in reversed(rows):  # row 0 at the bottom
+        lines += [b"".join(map(block.__getitem__, row))] * size
+    return b"".join(lines)
+
+
+# One past the largest dump label accepted: labels were read as int64.
+_LABEL_LIMIT = 2 ** 63
 
 
 def assembly_value_grid(placements: dict[Position, tuple[int, str]],
-                        bound: tuple[int, int]) -> np.ndarray:
-    """Labels of a placement map as residues; unplaced cells become -1."""
-    import numpy as np
+                        bound: tuple[int, int]) -> list[list[int]]:
+    """Labels of a placement map as rows of residues, row 0 first;
+    unplaced cells become -1."""
     height, width = bound
     check_cells(height, width, "bound")
-    grid = np.full((height, width), -1, dtype=np.int64)
+    rows = [[-1] * width for _ in range(height)]
     for (x, y), (_, label) in placements.items():
         if not (0 <= x < height and 0 <= y < width):
             continue
         try:
-            grid[x, y] = value = _integer(label)
-        except (ValueError, OverflowError):
-            value = -1  # not an int64 label: refused like a negative one
-        if value < 0:
+            value = _integer(label)
+        except ValueError:
+            value = -1  # not an integer: refused like a negative one
+        if not 0 <= value < _LABEL_LIMIT:
             raise FormatError(
                 f"label {label!r} at ({x}, {y}) is not a residue")
-    return grid
+        rows[x][y] = value
+    return rows

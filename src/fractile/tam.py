@@ -228,6 +228,13 @@ def assemble_bounded(system: TileSystem, bound: tuple[int, int],
     # Profile (packed as one int) -> indices of the tiles it accepts, in
     # id order.  The candidates at a cell depend only on its profile.
     candidates: dict[int, tuple[int, ...]] = {}
+    # Per edge, glue id -> indices of the tiles with that glue there.  A
+    # tile attaches only through a bond, so a profile's candidates share
+    # a glue with it on some facing edge.
+    sharing: list[dict[int, list[int]]] = [{}, {}, {}, {}]
+    for k, f in enumerate(faces):
+        for edge, glue in zip(sharing, f):
+            edge.setdefault(glue, []).append(k)
     # The frontier as a flat list of (cell, tile index) pairs, so that a
     # uniform draw is one index, plus each frontier cell's indices into it
     # for swap-removal.  Neighbors are refreshed N, S, E, W; that order
@@ -256,9 +263,13 @@ def assemble_bounded(system: TileSystem, bound: tuple[int, int],
         found = candidates.get(key)
         if found is None:
             profile = (w, s, e, n)
+            bonding = set()
+            for edge, glue in zip(sharing, profile):
+                if glue:
+                    bonding.update(edge.get(glue, ()))
             found = candidates[key] = tuple(
-                k for k, f in enumerate(faces)
-                if _accepts(f, profile, strength, temperature, lax))
+                k for k in sorted(bonding)
+                if _accepts(faces[k], profile, strength, temperature, lax))
         if len(found) == 1:  # the common case, in a directed system
             slots[cell] = [len(pairs)]
             pairs.append((cell, found[0]))

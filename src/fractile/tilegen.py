@@ -159,7 +159,7 @@ def build_tile(rule: LocalRule, window: tuple[tuple, tuple],
             or any(len(row) != n for row in south)):
         raise ValueError("window must have n-1 west cells and n-1 south "
                          "rows of width n")
-    return _compile(rule, west, south, tile_id, ({}, {}))
+    return _compile(rule, west, south, tile_id, ({}, {}, {}))
 
 
 def _west_text(west: tuple) -> tuple[str, str, str, bool]:
@@ -182,15 +182,18 @@ def _south_text(south: tuple) -> tuple[str, str, bool]:
 
 
 def _compile(rule: LocalRule, west: tuple, south: tuple, tile_id: int,
-             memo: tuple[dict, dict]) -> TileType:
+             memo: tuple[dict, dict, dict]) -> TileType:
     """`build_tile` of a well-formed window.  `memo` holds the text of
     each west vector and south submatrix already compiled.  Its keys
     must compare equal only when they serialize alike: a shared memo
     sees only the domain's symbols, which are pairwise unequal, and a
     fresh one a single window.  The computed cell is tokenized afresh
     and never a key, since it may equal an alphabet symbol that
-    serializes differently (True and 1)."""
-    wests, souths = memo
+    serializes differently (True and 1).  Such a cell is refused, since
+    its glues would spell no symbol of the domain.  `memo` also maps each
+    token already checked to the type of the cell that spelled it: a
+    later cell of that type and token is the same symbol again."""
+    wests, souths, spelled = memo
     w = wests.get(west)
     if w is None:
         w = wests[west] = _west_text(west)
@@ -200,9 +203,20 @@ def _compile(rule: LocalRule, west: tuple, south: tuple, tile_id: int,
     west_glue, row_head, east_head, west_bottom = w
     south_glue, north_head, south_bottom = s
     b = rule.evaluate(west, south)
-    if b not in rule.alphabet:
-        raise ValueError(f"rule produced {b!r}, which is not in its alphabet")
     token = symbol_token(b)
+    if spelled.get(token) is not type(b):
+        try:
+            symbol = rule.alphabet[rule.alphabet.index(b)]
+        except ValueError:
+            raise ValueError(f"rule produced {b!r} at window "
+                             f"{(west, south)}, which is not in its "
+                             "alphabet") from None
+        if symbol_token(symbol) != token:
+            raise ValueError(f"rule produced {b!r} at window "
+                             f"{(west, south)}, which spells {token!r} where "
+                             f"its alphabet symbol spells "
+                             f"{symbol_token(symbol)!r}")
+        spelled[token] = type(b)
     east_glue = east_head + token + ")" if east_head else token
     north_glue = north_head + row_head + token + ")"
 
@@ -237,7 +251,7 @@ def build_full_system(rule: LocalRule, budget: int = 10 ** 6) -> TileSystem:
     if count > budget:
         raise ValueError(
             f"domain has {count} windows, over the budget of {budget}")
-    memo: tuple[dict, dict] = ({}, {})
+    memo: tuple[dict, dict, dict] = ({}, {}, {})
     tiles = tuple(_compile(rule, west, south, tile_id, memo)
                   for tile_id, (west, south)
                   in enumerate(_domain_windows(rule)))

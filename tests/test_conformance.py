@@ -4,10 +4,11 @@ import tracemalloc
 
 import pytest
 
-from fractile import (Assembly, Coefficients, LocalRule, TileSystem, TileType,
-                      assemble_bounded, build_full_system, carpet_system,
-                      check_induction_clauses, delannoy_rule, fractal_set,
-                      delannoy_matrix, prune_reachable, verify_self_assembly)
+from fractile import (BOTTOM, Assembly, Coefficients, LocalRule, TileSystem,
+                      TileType, assemble_bounded, build_full_system,
+                      carpet_system, check_induction_clauses, delannoy_rule,
+                      fractal_set, delannoy_matrix, prune_reachable,
+                      verify_self_assembly)
 
 from conftest import window_sum_rule
 
@@ -237,3 +238,15 @@ def test_induction_report_digest_pins(carpet):
     failed = [c for c in check_induction_clauses(asm, rule).clauses
               if not c.holds]
     assert len(failed) == 3 and all(c.violation[0] == 2023 for c in failed)
+
+
+def test_a_rule_spelling_no_symbol_is_refused_before_growth():
+    # its True tiles once spelled glues no other tile presents: growth
+    # stopped after the seed and verify reported a MISMATCH at (0, 1)
+    def evaluate(west, south):
+        cells = (*west, *(s for row in south for s in row))
+        return all(s is BOTTOM for s in cells) or west[0] == 1
+
+    rule = LocalRule(2, (0, 1), evaluate)
+    with pytest.raises(ValueError, match="spells 'True'"):
+        verify_self_assembly(rule, (6, 6), 2)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractile import Assembly, ResidueMatrix, TileSystem, TileType
-from fractile.formats import (FormatError, parse_assembly, parse_grid,
-                              parse_tileset, write_assembly, write_grid,
+from fractile.formats import (FormatError, RenderSpec, default_palette,
+                              parse_assembly, parse_grid, parse_tileset,
+                              render_cells, write_assembly, write_grid,
                               write_tileset)
 from fractile.matrix import MAX_MODULUS
 
@@ -114,3 +115,54 @@ def test_any_text_parses_or_raises_format_error(parse, texts, data):
         parse(data.draw(JUNK | texts))
     except FormatError:
         pass
+
+
+def numpy_render_cells(values, modulus, spec):
+    """The pixmap renderer as written with numpy, kept as the reference
+    that `render_cells` equals byte for byte."""
+    values = np.asarray(values)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    distinct = distinct.tolist()
+    palette = spec.palette
+    if palette is None:
+        palette = default_palette(
+            distinct, distinct[-1] + 1 if modulus is None else modulus,
+            spec.zero_as_background)
+    colors = np.array([palette.get(v, (255, 255, 255))
+                       for v in distinct], dtype=np.uint8).reshape(-1, 3)
+    pixels = colors[np.flipud(inverse.reshape(values.shape))]
+    pixels = np.repeat(pixels, spec.cell_size, axis=0)
+    pixels = np.repeat(pixels, spec.cell_size, axis=1)
+    header = f"P6\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
+    return b"".join((header, pixels.data))
+
+
+RGB = st.tuples(*[st.integers(0, 255)] * 3)
+
+
+@st.composite
+def render_cases(draw):
+    """Rows holding -1 (unplaced) cells among residues of a grid's p, or
+    dump labels (modulus None); a palette covering the residues present,
+    sometimes naming -1 too, or the default one."""
+    modulus = draw(st.sampled_from((None, 2, 3, 5, 7, 257)))
+    residue = (st.integers(0, 300) | st.just(2 ** 63 - 1) if modulus is None
+               else st.integers(0, modulus - 1))
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.just(-1) | residue, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    palette = None
+    if draw(st.booleans()):
+        present = {v for r in rows for v in r if v >= 0}
+        palette = {v: draw(RGB) for v in sorted(present)}
+        if draw(st.booleans()):
+            palette[-1] = draw(RGB)
+    spec = RenderSpec(palette, draw(st.integers(1, 4)), draw(st.booleans()))
+    return rows, modulus, spec
+
+
+@given(render_cases())
+@settings(max_examples=200)
+def test_render_cells_equals_the_numpy_renderer(case):
+    rows, modulus, spec = case
+    assert render_cells(rows, modulus, spec) == numpy_render_cells(*case)

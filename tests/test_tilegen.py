@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import product
 
 import pytest
@@ -488,12 +489,14 @@ def test_full_system_equals_per_symbol_glues(n, size):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_true_is_not_merged_with_one(n):
-    # True == 1 and hashes alike, but serializes as "True": the computed
-    # cell's token is never taken from text built for the symbol 1
+    # True == 1 and hashes alike, but serializes as "True": a computed
+    # cell that spells no alphabet symbol is refused, with its window
     rule = LocalRule(n, (0, 1), lambda west, south: west[-1] == 1)
-    full = build_full_system(rule)
-    assert {t.label for t in full.tiles} == {"True", "False"}
-    assert list(full.tiles) == reference_full_tiles(rule)
-    tile = build_tile(rule, ((0,) * (n - 2) + (1,), ((1,) * n,) * (n - 1)))
-    assert tile.label == "True"
-    assert tile.color(E) == ("True" if n == 2 else "(1,True)")
+    with pytest.raises(ValueError, match="spells 'False' where its "
+                                         "alphabet symbol spells '0'"):
+        build_full_system(rule)
+    window = ((0,) * (n - 2) + (1,), ((1,) * n,) * (n - 1))
+    where = re.escape(f"True at window {window}")
+    with pytest.raises(ValueError, match=where):
+        build_tile(rule, window)
+
