@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tam import (Assembly, Position, assemble_bounded, check_growth_bound,
-                  divergence)
+from .matrix import check_cells
+from .tam import (Assembly, Grower, Position, check_growth_bound,
+                  check_order_seed, divergence)
 from .tilegen import (LocalRule, build_full_system, build_tile,
-                      prune_reachable, rule_matrix, scan_windows, symbol_token,
-                      window_at)
+                      prune_reachable, rule_matrix, symbol_token, window_at)
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,27 @@ class ConformanceReport:
 def compare_assembly_labels(assembly: Assembly, expected: list[list],
                             bound: tuple[int, int]
                             ) -> tuple[Position, str, str | None] | None:
-    """First cell (in position order) whose label disagrees, if any."""
+    """First cell (in position order) whose label disagrees, if any.
+
+    Each expected value is tokenized once per object: the memo maps a
+    value to the first object of it met and that object's token, and
+    serves only that object, so equal values that spell differently (True
+    and 1) keep their own tokens."""
     height, width = bound
+    get = assembly.placements.get
+    tokens: dict = {}
     for x in range(height):
+        row = expected[x]
         for y in range(width):
-            want = symbol_token(expected[x][y])
-            tile = assembly.placements.get((x, y))
+            value = row[y]
+            known = tokens.get(value)
+            if known is not None and known[0] is value:
+                want = known[1]
+            else:
+                want = symbol_token(value)
+                if known is None:
+                    tokens[value] = (value, want)
+            tile = get((x, y))
             if tile is None:
                 return ((x, y), want, None)
             if tile.label != want:
@@ -106,16 +121,18 @@ def verify_self_assembly(rule: LocalRule, bound: tuple[int, int],
     if bound[0] < rule.n or bound[1] < rule.n:
         raise ValueError("bound must be at least n x n")
     check_growth_bound(*bound)
+    check_order_seed(base_seed)
     if system is None:
         system = prune_reachable(build_full_system(rule), rule, bound)
     expected = rule_matrix(rule, bound[0], bound[1])
-    first = assemble_bounded(system, bound, base_seed, lax=lax)
+    grower = Grower(system, lax)
+    first = grower.grow(bound, base_seed)
     mismatch = compare_assembly_labels(first, expected, bound)
     reference = first.id_map()
     del first  # only run 0's id map stays alive while the next run grows
     witness = None
     for k in range(1, trials):
-        run = assemble_bounded(system, bound, base_seed + k, lax=lax)
+        run = grower.grow(bound, base_seed + k)
         mismatch = mismatch or compare_assembly_labels(run, expected, bound)
         witness = witness or divergence(reference, run)
         del run
@@ -161,7 +178,7 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
     strength of 2 sit in row 0; (d) tiles with a north strength of 2 sit
     in column 0; (e) each placed tile equals the compiled tile of the
     matrix window at its position.  One scan of the placements' bounding
-    box yields the expected labels and the windows compiled once each.
+    box yields the expected labels and each cell's compiled tile.
     """
     violations: dict[str, tuple[int, Position, str] | None] = {
         name: None for name in
@@ -170,27 +187,43 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
          "tile_matches_window")}
 
     positions = assembly.attachment_order
-    max_x = max((x for x, _ in positions), default=0)
-    max_y = max((y for _, y in positions), default=0)
-    expected, windows = scan_windows(rule, max(max_x + 1, rule.n),
-                                     max(max_y + 1, rule.n))
-    tiles = {window: build_tile(rule, window) for window in windows}
+    n = rule.n
+    height = max(max((x for x, _ in positions), default=0) + 1, n)
+    width = max(max((y for _, y in positions), default=0) + 1, n)
+    # One row-major scan of the box [0, height) x [0, width) evaluates
+    # the rule cell by cell, as `scan_windows` does, and records each
+    # cell's compiled tile; each distinct window is compiled once.
+    check_cells(height, width, "horizon")
+    labels: list[list] = [[None] * width for _ in range(height)]
+    compiled: dict = {}
+    tile_at = []
+    for x in range(height):
+        row = labels[x]
+        for y in range(width):
+            window = window_at(labels, x, y, n)
+            tile = compiled.get(window)
+            if tile is None:
+                tile = compiled[window] = build_tile(rule, window)
+            tile_at.append(tile)
+            row[y] = rule.evaluate(*window)
 
     def record(name: str, step: int, pos: Position, detail: str) -> None:
         if violations[name] is None:
             violations[name] = (step, pos, detail)
 
-    occupied: set[Position] = set()
+    # Occupancy of the box; a negative position is outside it, and no
+    # check reads one.
+    occupied = bytearray(height * width)
     for step, pos in enumerate(positions):
         x, y = pos
         if x < 0 or y < 0:
             record("first_quadrant_only", step, pos, "negative coordinate")
-            occupied.add(pos)
             continue
+        cell = x * width + y
         if step >= assembly.seed_count:
-            if x > 0 and (x - 1, y) not in occupied:
+            if x > 0 and not occupied[cell - width]:
                 record("downward_closed", step, pos, "south neighbor missing")
-            if y > 0 and (x, y - 1) not in occupied:
+            if y > 0 and not occupied[cell - 1]:
                 record("downward_closed", step, pos, "west neighbor missing")
         tile = assembly.placements[pos]
         # strengths are stored W, S, E, N
@@ -200,12 +233,12 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
         if tile.strengths[3] == 2 and y != 0:
             record("north_strength2_in_col0", step, pos,
                    f"tile {tile.id} has a strength-2 north edge off column 0")
-        want = tiles[window_at(expected, x, y, rule.n)]
+        want = tile_at[cell]
         if not tile.same_surface(want):
             record("tile_matches_window", step, pos,
                    f"placed tile {tile.id} ({tile.label}) differs from the "
                    f"window tile ({want.label})")
-        occupied.add(pos)
+        occupied[cell] = 1
 
     return InductionReport(tuple(
         ClauseResult(name, violations[name] is None, violations[name])

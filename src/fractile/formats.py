@@ -49,9 +49,10 @@ TILESET_HEADER = "tileset v1"
 ASSEMBLY_HEADER = "assembly v1"
 
 # The fields of each record after its kind: "i" an integer, "s" a token.
+# `parse_assembly` reads `place <x> <y> <tile id> <label>` records itself.
 _TILESET_RECORDS = {"temperature": "i", "seed": "iii",
                     "tile": "is" + "ssi" * 4}
-_ASSEMBLY_RECORDS = {"bound": "ii", "placed": "i", "place": "iiis"}
+_ASSEMBLY_RECORDS = {"bound": "ii", "placed": "i"}
 _SINGLE_RECORDS = {"temperature", "bound", "placed"}
 
 
@@ -82,25 +83,31 @@ def _integer(token: str) -> int:
     return value
 
 
+def _record(line: str, fields: dict[str, str], seen: set[str]
+            ) -> tuple[str, list]:
+    """A record line as its kind and its fields, integer fields
+    converted; refuses an unknown kind, a wrong field count or a
+    non-integer field, and a single record already in `seen`."""
+    kind, *tokens = line.split()
+    if kind not in fields:
+        raise FormatError(f"unknown record kind {kind!r}")
+    try:
+        values = [_integer(tok) if typ == "i" else tok
+                  for typ, tok in zip(fields[kind], tokens, strict=True)]
+    except ValueError as exc:
+        raise FormatError(f"malformed {kind} record: {line!r}") from exc
+    if kind in _SINGLE_RECORDS:
+        if kind in seen:
+            raise FormatError(f"duplicate {kind} record")
+        seen.add(kind)
+    return kind, values
+
+
 def _records(text: str, header: str, fields: dict[str, str]):
-    """Each record after `header` as its kind and its fields, integer
-    fields converted; refuses an unknown kind, a wrong field count or a
-    non-integer field, and a repeated single record."""
+    """Each record after `header`, as `_record` reads it."""
     seen: set[str] = set()
     for line in _body(text, header):
-        kind, *tokens = line.split()
-        if kind not in fields:
-            raise FormatError(f"unknown record kind {kind!r}")
-        try:
-            values = [_integer(tok) if typ == "i" else tok
-                      for typ, tok in zip(fields[kind], tokens, strict=True)]
-        except ValueError as exc:
-            raise FormatError(f"malformed {kind} record: {line!r}") from exc
-        if kind in _SINGLE_RECORDS:
-            if kind in seen:
-                raise FormatError(f"duplicate {kind} record")
-            seen.add(kind)
-        yield kind, values
+        yield _record(line, fields, seen)
 
 
 def write_grid(matrix: ResidueMatrix) -> str:
@@ -205,12 +212,27 @@ def parse_tileset(text: str) -> TileSystem:
 
 
 def write_assembly(assembly: Assembly, bound: tuple[int, int]) -> str:
+    """The dump of `assembly`, its placements in position order.
+
+    Placements are bucketed by row, each row's columns sorted as ints,
+    and each tile's " <id> <label>" tail is built once."""
     lines = [ASSEMBLY_HEADER,
              f"bound {bound[0]} {bound[1]}",
              f"placed {len(assembly.placements)}"]
-    for (x, y) in sorted(assembly.placements):
-        tile = assembly.placements[(x, y)]
-        lines.append(f"place {x} {y} {tile.id} {tile.label}")
+    tails: dict[int, str] = {}  # id(tile) -> its tail; the tiles stay alive
+    rows: dict[int, dict[int, str]] = {}
+    for (x, y), tile in assembly.placements.items():
+        tail = tails.get(id(tile))
+        if tail is None:
+            tail = tails[id(tile)] = f" {tile.id} {tile.label}"
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = {}
+        row[y] = tail
+    for x in sorted(rows):
+        row = rows.pop(x)  # each row is freed once it is text
+        head = f"place {x} "
+        lines.append("\n".join([f"{head}{y}{row[y]}" for y in sorted(row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -219,16 +241,29 @@ def parse_assembly(text: str) -> tuple[tuple[int, int], dict[Position, tuple[int
     bound = None
     count = None
     placements: dict[Position, tuple[int, str]] = {}
-    for kind, fields in _records(text, ASSEMBLY_HEADER, _ASSEMBLY_RECORDS):
-        if kind == "bound":
-            bound = tuple(fields)
-        elif kind == "placed":
-            count, = fields
-        else:
-            x, y, tile_id, label = fields
-            if (x, y) in placements:
-                raise FormatError(f"duplicate placement at {(x, y)}")
-            placements[(x, y)] = (tile_id, label)
+    seen: set[str] = set()
+    for line in _body(text, ASSEMBLY_HEADER):
+        tokens = line.split()
+        if tokens[0] != "place":
+            kind, fields = _record(line, _ASSEMBLY_RECORDS, seen)
+            if kind == "bound":
+                bound = tuple(fields)
+            else:
+                count, = fields
+            continue
+        # The records of a dump are nearly all `place` records, read here
+        # with `_record`'s checks and messages: five fields, the first
+        # three integers as `_integer` reads them.
+        try:
+            _, sx, sy, sid, label = tokens
+            x, y, tile_id = int(sx), int(sy), int(sid)
+            if str(x) != sx or str(y) != sy or str(tile_id) != sid:
+                raise ValueError("not written as an integer")
+        except ValueError as exc:
+            raise FormatError(f"malformed place record: {line!r}") from exc
+        entry = (tile_id, label)
+        if placements.setdefault((x, y), entry) is not entry:
+            raise FormatError(f"duplicate placement at {(x, y)}")
     if bound is None:
         raise FormatError("missing bound record")
     for x, y in placements:

@@ -11,13 +11,14 @@ edges merely contribute nothing, is available behind a flag.
 Growth and replay intern each distinct glue to a small int (0 is the
 empty neighbor) and test attachments with one rule over those ints.
 Growth keeps the bound in one flat list with a border of sentinel cells,
-each placed cell holding its tile's interned glues, so a cell's neighbor
-profile is four list reads packed into one int memo key.
+each placed cell holding its tile's interned glues and index, so a cell's
+neighbor profile is four list reads packed into one int memo key.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -170,9 +171,9 @@ def _accepts(faces: tuple[int, ...], profile: tuple[int, ...],
     return total >= temperature
 
 
-# Largest bound that growth accepts.  Growth peaks at about 154 B per
+# Largest bound that growth accepts.  Growth peaks at about 162 B per
 # cell (tracemalloc, the carpet grown at 729 x 729), so 2^24 cells
-# (4096 x 4096) take about 2.6 GB; a larger bound is refused before
+# (4096 x 4096) take about 2.7 GB; a larger bound is refused before
 # anything is allocated.
 MAX_GROWTH_CELLS = 2 ** 24
 
@@ -184,7 +185,150 @@ def check_growth_bound(height: int, width: int) -> None:
     if height * width > MAX_GROWTH_CELLS:
         raise ValueError(
             f"bound {height}x{width} exceeds MAX_GROWTH_CELLS = "
-            f"{MAX_GROWTH_CELLS} cells (growth takes about 154 B per cell)")
+            f"{MAX_GROWTH_CELLS} cells (growth takes about 162 B per cell)")
+
+
+def check_order_seed(order_seed: int) -> None:
+    """Refuse a negative order seed: `random.Random` seeds an int by its
+    absolute value, so -3 would grow exactly the run of 3."""
+    if order_seed < 0:
+        raise ValueError(f"order seed must be nonnegative, got {order_seed}")
+
+
+class Grower:
+    """One tile system's attachment tables, built once and shared by every
+    run grown from it.
+
+    The tiles in id order, their interned glues, per edge the tiles that
+    carry each glue there, and the memo from a neighbor profile to the
+    tiles it accepts, which fills as runs meet new profiles.  Candidates
+    depend only on the profile, so runs sharing the memo draw exactly as
+    runs that each build their own.
+    """
+
+    def __init__(self, system: TileSystem, lax: bool = False) -> None:
+        self.system = system
+        self.lax = lax
+        self.tiles = sorted(system.tiles, key=lambda t: t.id)
+        self.faces, self.strength = _intern(self.tiles)
+        self.index = {t.id: k for k, t in enumerate(self.tiles)}
+        # What a placed cell holds: its tile's faces, then the tile's index.
+        self.held = [(*f, k) for k, f in enumerate(self.faces)]
+        # Per edge, glue id -> indices of the tiles with that glue there.
+        # A tile attaches only through a bond, so a profile's candidates
+        # share a glue with it on some facing edge.
+        self.sharing: list[dict[int, list[int]]] = [{}, {}, {}, {}]
+        for k, f in enumerate(self.faces):
+            for edge, glue in zip(self.sharing, f):
+                edge.setdefault(glue, []).append(k)
+        # Profile (packed as one int) -> indices of the tiles it accepts,
+        # in id order.
+        self.candidates: dict[int, tuple[int, ...]] = {}
+
+    def _accepted(self, profile: tuple[int, ...]) -> tuple[int, ...]:
+        bonding = set()
+        for edge, glue in zip(self.sharing, profile):
+            if glue:
+                bonding.update(edge.get(glue, ()))
+        faces, strength = self.faces, self.strength
+        temperature, lax = self.system.temperature, self.lax
+        return tuple(k for k in sorted(bonding)
+                     if _accepts(faces[k], profile, strength, temperature,
+                                 lax))
+
+    def grow(self, bound: tuple[int, int], order_seed: int) -> Assembly:
+        """`assemble_bounded` of this system, grown with these tables."""
+        height, width = bound
+        check_growth_bound(height, width)
+        check_order_seed(order_seed)
+        seed = self.system.seed
+        for (x, y) in seed:
+            if not (0 <= x < height and 0 <= y < width):
+                raise ValueError("bound must contain the seed")
+        getrandbits = random.Random(order_seed).getrandbits
+        candidates, glues = self.candidates, len(self.strength)
+        held = self.held
+
+        # The bound with a one-cell border, row-major and flat: (x, y) is
+        # cell origin + x * side + y, so divmod(cell - origin, side) is
+        # (x, y), and its N, S, E and W neighbors are cell + side, - side,
+        # + 1 and - 1.  A cell holds its tile's faces and index, or one of
+        # two sentinels that both present glue 0; they are lists so that
+        # they are distinct objects.
+        side = width + 2
+        origin = side + 1
+        empty, border = [0] * 4, [0] * 4
+        cells = [border] * (side * (height + 2))
+        for x in range(height):
+            cells[origin + x * side:origin + x * side + width] = [empty] * width
+        for (x, y), tile in seed.items():
+            cells[origin + x * side + y] = held[self.index[tile.id]]
+
+        # The frontier as a flat list of (cell, tile index) pairs, so that
+        # a uniform draw is one index, plus each frontier cell's indices
+        # into it for swap-removal (None off the frontier).
+        pairs: list[tuple[int, int]] = []
+        slots: list[list[int] | None] = [None] * len(cells)
+
+        def settle(cell: int) -> None:
+            # Drop the pairs of `cell`, just placed (a seed has none), then
+            # refresh its empty neighbors N, S, E, W: drop their pairs and
+            # append those of their new profiles.  That order fixes the
+            # frontier's order and so which pair each draw picks.
+            for near in (cell, cell + side, cell - side, cell + 1, cell - 1):
+                own = slots[near]
+                if own is not None:
+                    slots[near] = None
+                    # Descending order: the pair moved into a freed index
+                    # is never one of the cell's own.
+                    for i in own if len(own) == 1 else sorted(own,
+                                                              reverse=True):
+                        last = pairs.pop()
+                        if i < len(pairs):
+                            pairs[i] = last
+                            moved = slots[last[0]]
+                            moved[moved.index(len(pairs))] = i
+                if cells[near] is not empty:
+                    continue
+                w, s = cells[near - 1][2], cells[near - side][3]
+                e, n = cells[near + 1][0], cells[near + side][1]
+                key = ((w * glues + s) * glues + e) * glues + n
+                found = candidates.get(key)
+                if found is None:
+                    found = candidates[key] = self._accepted((w, s, e, n))
+                if len(found) == 1:  # the common case, in a directed system
+                    slots[near] = [len(pairs)]
+                    pairs.append((near, found[0]))
+                elif found:
+                    slots[near] = list(range(len(pairs),
+                                             len(pairs) + len(found)))
+                    pairs.extend([(near, k) for k in found])
+
+        for (x, y) in seed:
+            settle(origin + x * side + y)
+        grown = array("q")  # the cells filled, in order
+        while pairs:
+            # Random.randrange(n), as its _randbelow draws it.
+            n = len(pairs)
+            bits = n.bit_length()
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            pick = pairs[r]
+            cell = pick[0]
+            cells[cell] = held[pick[1]]
+            grown.append(cell)
+            settle(cell)
+
+        del slots[:]  # all None now; freed before the assembly is built
+        assembly = Assembly.from_seed(seed)
+        placements, order = assembly.placements, assembly.attachment_order
+        tiles = self.tiles
+        for cell in grown:
+            pos = divmod(cell - origin, side)
+            placements[pos] = tiles[cells[cell][4]]
+            order.append(pos)
+        return assembly
 
 
 def assemble_bounded(system: TileSystem, bound: tuple[int, int],
@@ -192,113 +336,11 @@ def assemble_bounded(system: TileSystem, bound: tuple[int, int],
     """Grow the seed until the in-bounds frontier empties.
 
     Each step draws uniformly over the current frontier pairs (position,
-    attachable tile) using a generator seeded by `order_seed`, so runs are
-    bit-reproducible.  The bound is the half-open region
-    [0, height) x [0, width).
+    attachable tile) using a generator seeded by `order_seed`, a
+    nonnegative int, so runs are bit-reproducible.  The bound is the
+    half-open region [0, height) x [0, width).
     """
-    height, width = bound
-    check_growth_bound(height, width)
-    for (x, y) in system.seed:
-        if not (0 <= x < height and 0 <= y < width):
-            raise ValueError("bound must contain the seed")
-    randrange = random.Random(order_seed).randrange
-    assembly = Assembly.from_seed(system.seed)
-    placements = assembly.placements
-    order = assembly.attachment_order
-    tiles = sorted(system.tiles, key=lambda t: t.id)
-    faces, strength = _intern(tiles)
-    glues = len(strength)
-    temperature = system.temperature
-
-    # The bound with a one-cell border, row-major and flat: (x, y) is cell
-    # origin + x * side + y, so divmod(cell - origin, side) is (x, y), and
-    # its N, S, E and W neighbors are cell + side, - side, + 1 and - 1.  A
-    # cell holds its tile's faces, or one of two sentinels that both
-    # present glue 0; they are lists so that they are distinct objects.
-    side = width + 2
-    origin = side + 1
-    empty, border = [0] * 4, [0] * 4
-    cells = [border] * (side * (height + 2))
-    for x in range(height):
-        cells[origin + x * side:origin + x * side + width] = [empty] * width
-    index = {t.id: k for k, t in enumerate(tiles)}
-    for (x, y), tile in placements.items():
-        cells[origin + x * side + y] = faces[index[tile.id]]
-
-    # Profile (packed as one int) -> indices of the tiles it accepts, in
-    # id order.  The candidates at a cell depend only on its profile.
-    candidates: dict[int, tuple[int, ...]] = {}
-    # Per edge, glue id -> indices of the tiles with that glue there.  A
-    # tile attaches only through a bond, so a profile's candidates share
-    # a glue with it on some facing edge.
-    sharing: list[dict[int, list[int]]] = [{}, {}, {}, {}]
-    for k, f in enumerate(faces):
-        for edge, glue in zip(sharing, f):
-            edge.setdefault(glue, []).append(k)
-    # The frontier as a flat list of (cell, tile index) pairs, so that a
-    # uniform draw is one index, plus each frontier cell's indices into it
-    # for swap-removal.  Neighbors are refreshed N, S, E, W; that order
-    # fixes the frontier's order and so which pair each draw picks.
-    pairs: list[tuple[int, int]] = []
-    slots: dict[int, list[int]] = {}
-
-    def drop(cell: int) -> None:
-        # Descending order: the pair moved into a freed index is never
-        # one of the cell's own.
-        own = slots.pop(cell)
-        for i in own if len(own) == 1 else sorted(own, reverse=True):
-            last = pairs.pop()
-            if i < len(pairs):
-                pairs[i] = last
-                moved = slots[last[0]]
-                moved[moved.index(len(pairs))] = i
-
-    def refresh(cell: int) -> None:
-        # `cell` is empty and in bound.
-        if cell in slots:
-            drop(cell)
-        w, s = cells[cell - 1][2], cells[cell - side][3]
-        e, n = cells[cell + 1][0], cells[cell + side][1]
-        key = ((w * glues + s) * glues + e) * glues + n
-        found = candidates.get(key)
-        if found is None:
-            profile = (w, s, e, n)
-            bonding = set()
-            for edge, glue in zip(sharing, profile):
-                if glue:
-                    bonding.update(edge.get(glue, ()))
-            found = candidates[key] = tuple(
-                k for k in sorted(bonding)
-                if _accepts(faces[k], profile, strength, temperature, lax))
-        if len(found) == 1:  # the common case, in a directed system
-            slots[cell] = [len(pairs)]
-            pairs.append((cell, found[0]))
-        elif found:
-            slots[cell] = list(range(len(pairs), len(pairs) + len(found)))
-            pairs.extend([(cell, k) for k in found])
-
-    for (x, y) in placements:
-        cell = origin + x * side + y
-        for near in (cell + side, cell - side, cell + 1, cell - 1):
-            if cells[near] is empty:
-                refresh(near)
-
-    while pairs:
-        cell, k = pairs[randrange(len(pairs))]
-        cells[cell] = faces[k]
-        pos = divmod(cell - origin, side)
-        placements[pos] = tiles[k]
-        order.append(pos)
-        drop(cell)
-        if cells[cell + side] is empty:
-            refresh(cell + side)
-        if cells[cell - side] is empty:
-            refresh(cell - side)
-        if cells[cell + 1] is empty:
-            refresh(cell + 1)
-        if cells[cell - 1] is empty:
-            refresh(cell - 1)
-    return assembly
+    return Grower(system, lax).grow(bound, order_seed)
 
 
 @dataclass(frozen=True)
@@ -331,10 +373,10 @@ def is_directed_empirically(system: TileSystem, bound: tuple[int, int],
     """
     if trials < 2:
         raise ValueError("at least two trials are required")
-    reference = assemble_bounded(system, bound, base_seed, lax=lax).id_map()
+    grower = Grower(system, lax)
+    reference = grower.grow(bound, base_seed).id_map()
     for k in range(1, trials):
-        witness = divergence(
-            reference, assemble_bounded(system, bound, base_seed + k, lax=lax))
+        witness = divergence(reference, grower.grow(bound, base_seed + k))
         if witness is not None:
             break
     return DirectednessResult(witness is None, witness)

@@ -414,6 +414,8 @@ def test_render_assembly_dump(tmp_path):
     (["bound +2 1_0"], "malformed bound record"),
     (["bound 2 2", "place \u0660 0 1 3"], "malformed place record"),
     (["bound 2 2", "placed 01", "place 0 0 1 1"], "malformed placed record"),
+    (["bound 2 2", "place 0 0 01 1"], "malformed place record"),
+    (["bound 2 2", "place 0 +1 1 1"], "malformed place record"),
 ])
 def test_parse_assembly_rejects_bad_placements(tmp_path, capsys, records,
                                                problem):
@@ -512,6 +514,24 @@ def test_bound_over_the_growth_cap_exits_2(tmp_path, capsys, command, bound):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "MAX_GROWTH_CELLS" in captured.err
+    assert not (tmp_path / "a.dump").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_order_seed_exits_2(tmp_path, capsys, command):
+    # seed -1 once grew seed 1's run, so verify compared a run with itself
+    tiles = tmp_path / "carpet.tiles"
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
+    capsys.readouterr()
+    argv = {"simulate": ["simulate", "--tileset", str(tiles), "--bound", "9",
+                         "--out", str(tmp_path / "a.dump")],
+            "verify": ["verify", *CARPET_FLAGS, "--bound", "9",
+                       "--trials", "3"]}[command]
+    assert run(*argv, "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "nonnegative" in captured.err
     assert not (tmp_path / "a.dump").exists()
 
 

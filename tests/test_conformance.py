@@ -6,9 +6,13 @@ import pytest
 
 from fractile import (BOTTOM, Assembly, Coefficients, LocalRule, TileSystem,
                       TileType, assemble_bounded, build_full_system,
-                      carpet_system, check_induction_clauses, delannoy_rule,
-                      fractal_set, delannoy_matrix, prune_reachable,
-                      verify_self_assembly)
+                      build_tile, carpet_system, check_induction_clauses,
+                      delannoy_rule, fractal_set, delannoy_matrix,
+                      prune_reachable, scan_windows, verify_self_assembly,
+                      window_at)
+from fractile.conformance import (ClauseResult, InductionReport,
+                                  compare_assembly_labels)
+from fractile.tilegen import symbol_token
 
 from conftest import window_sum_rule
 
@@ -250,3 +254,115 @@ def test_a_rule_spelling_no_symbol_is_refused_before_growth():
     rule = LocalRule(2, (0, 1), evaluate)
     with pytest.raises(ValueError, match="spells 'True'"):
         verify_self_assembly(rule, (6, 6), 2)
+
+
+def per_cell_compare(assembly, expected, bound):
+    """`compare_assembly_labels` tokenizing every cell afresh, kept as
+    the reference."""
+    for x in range(bound[0]):
+        for y in range(bound[1]):
+            want = symbol_token(expected[x][y])
+            tile = assembly.placements.get((x, y))
+            if tile is None:
+                return ((x, y), want, None)
+            if tile.label != want:
+                return ((x, y), want, tile.label)
+    return None
+
+
+@pytest.mark.parametrize("first", [1, True], ids=["1-first", "True-first"])
+def test_label_compare_keeps_true_and_1_apart(first):
+    # True == 1 and hashes alike, but spells "True"; 0.0 and -0.0 too
+    values = [first, 1 if first is True else True, 0, 0.0, -0.0, "1"]
+    bound = (4, 6)
+    expected = [[values[(x + y) % 6] for y in range(6)] for x in range(4)]
+    tile = {token: TileType.make(k, token, *[("g", 1)] * 4)
+            for k, token in enumerate(("1", "True", "0", "0.0", "-0.0"))}
+    labels = {(x, y): tile[symbol_token(expected[x][y])]
+              for x in range(4) for y in range(6)}
+    cases = [Assembly(labels, list(labels), 0)]
+    for pos in [(0, 0), (1, 0), (0, 2), (2, 1), (3, 5)]:
+        wrong = dict(labels)
+        wrong[pos] = tile["1" if labels[pos].label == "True" else "True"]
+        cases.append(Assembly(wrong, list(wrong), 0))
+        gap = dict(labels)
+        del gap[pos]
+        cases.append(Assembly(gap, list(gap), 0))
+    for asm in cases:
+        assert (compare_assembly_labels(asm, expected, bound)
+                == per_cell_compare(asm, expected, bound))
+    assert compare_assembly_labels(cases[0], expected, bound) is None
+
+
+def two_pass_induction(assembly, rule):
+    """`check_induction_clauses` with a set of occupied positions and a
+    second pass of window reads, kept as the reference."""
+    violations = {name: None for name in
+                  ("downward_closed", "first_quadrant_only",
+                   "east_strength2_in_row0", "north_strength2_in_col0",
+                   "tile_matches_window")}
+    positions = assembly.attachment_order
+    max_x = max((x for x, _ in positions), default=0)
+    max_y = max((y for _, y in positions), default=0)
+    expected, windows = scan_windows(rule, max(max_x + 1, rule.n),
+                                     max(max_y + 1, rule.n))
+    tiles = {window: build_tile(rule, window) for window in windows}
+
+    def record(name, step, pos, detail):
+        if violations[name] is None:
+            violations[name] = (step, pos, detail)
+
+    occupied = set()
+    for step, pos in enumerate(positions):
+        x, y = pos
+        if x < 0 or y < 0:
+            record("first_quadrant_only", step, pos, "negative coordinate")
+            occupied.add(pos)
+            continue
+        if step >= assembly.seed_count:
+            if x > 0 and (x - 1, y) not in occupied:
+                record("downward_closed", step, pos, "south neighbor missing")
+            if y > 0 and (x, y - 1) not in occupied:
+                record("downward_closed", step, pos, "west neighbor missing")
+        tile = assembly.placements[pos]
+        if tile.strengths[2] == 2 and x != 0:
+            record("east_strength2_in_row0", step, pos,
+                   f"tile {tile.id} has a strength-2 east edge off row 0")
+        if tile.strengths[3] == 2 and y != 0:
+            record("north_strength2_in_col0", step, pos,
+                   f"tile {tile.id} has a strength-2 north edge off column 0")
+        want = tiles[window_at(expected, x, y, rule.n)]
+        if not tile.same_surface(want):
+            record("tile_matches_window", step, pos,
+                   f"placed tile {tile.id} ({tile.label}) differs from the "
+                   f"window tile ({want.label})")
+        occupied.add(pos)
+    return InductionReport(tuple(ClauseResult(name, v is None, v)
+                                 for name, v in violations.items()))
+
+
+@pytest.mark.parametrize("make_rule", [lambda: delannoy_rule(CARPET),
+                                       window_sum_rule],
+                         ids=["carpet", "window-sum-n3"])
+def test_one_pass_induction_equals_the_two_pass_replay(make_rule):
+    rule = make_rule()
+    system = prune_reachable(build_full_system(rule), rule, (12, 10))
+    asm = assemble_bounded(system, (12, 10), 7)
+    order = asm.attachment_order
+    # a gap: a placement whose west and south predecessors come later
+    gap = Assembly(dict(asm.placements), [order[0], order[-1], *order[1:-1]],
+                   1)
+    # negative positions, one early and one at the end, and a tile off its
+    # window beside the first
+    negative = Assembly(dict(asm.placements), list(order), 1)
+    for step, pos in ((3, (-1, 2)), (len(order), (4, -2))):
+        negative.attachment_order.insert(step, pos)
+        negative.placements[pos] = system.tiles[1]
+    negative.placements[(0, 2)] = system.tiles[-1]
+    for case in (asm, gap, negative):
+        report = check_induction_clauses(case, rule)
+        assert report == two_pass_induction(case, rule)
+    assert not check_induction_clauses(gap, rule).all_hold
+    clauses = {c.name: c for c in check_induction_clauses(negative, rule)
+               .clauses}
+    assert clauses["first_quadrant_only"].violation[:2] == (3, (-1, 2))

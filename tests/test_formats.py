@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractile import Assembly, ResidueMatrix, TileSystem, TileType
-from fractile.formats import (FormatError, RenderSpec, default_palette,
-                              parse_assembly, parse_grid, parse_tileset,
-                              render_cells, write_assembly, write_grid,
-                              write_tileset)
+from fractile import formats
+from fractile.formats import (ASSEMBLY_HEADER, FormatError, RenderSpec,
+                              default_palette, parse_assembly, parse_grid,
+                              parse_tileset, render_cells, write_assembly,
+                              write_grid, write_tileset)
 from fractile.matrix import MAX_MODULUS
 
 # One whitespace-free token, as labels and glues are written.
@@ -21,6 +22,8 @@ GLUE = st.tuples(TOKEN, st.integers(0, 2))
 # int64.
 NUMBER = st.one_of(st.integers(-1, 3), st.just(2 ** 70)).map(str)
 JUNK = st.text(max_size=12)
+# Text that int() reads but that is not the text str() writes.
+MISSPELLED = st.sampled_from(["01", "+1", "-0", "1_0", "\u0663", " 2"])
 
 
 @st.composite
@@ -82,10 +85,70 @@ def test_assembly_round_trip(case):
     assert write_assembly(as_assembly(placements), parsed_bound) == text
 
 
+def sorted_write_assembly(assembly, bound):
+    """The dump writer that sorts position tuples, kept as the reference
+    that `write_assembly` equals."""
+    lines = [ASSEMBLY_HEADER, f"bound {bound[0]} {bound[1]}",
+             f"placed {len(assembly.placements)}"]
+    for (x, y) in sorted(assembly.placements):
+        tile = assembly.placements[(x, y)]
+        lines.append(f"place {x} {y} {tile.id} {tile.label}")
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
-def edited(draw, written):
+def shared_tile_assemblies(draw):
+    """Placements anywhere, negative or past the bound, of a few tiles
+    each placed many times; distinct tiles may share an id or a label."""
+    pool = [TileType.make(draw(st.integers(-2, 3)),
+                          draw(st.sampled_from(("0", "1", "x"))),
+                          *[("g", 1)] * 4)
+            for _ in range(draw(st.integers(1, 4)))]
+    cells = st.tuples(st.integers(-3, 6), st.integers(-3, 6))
+    placements = draw(st.dictionaries(cells, st.sampled_from(pool),
+                                      max_size=30))
+    bound = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    return Assembly(placements, list(placements), 0), bound
+
+
+@given(shared_tile_assemblies())
+@settings(max_examples=200)
+def test_write_assembly_equals_the_sorting_writer(case):
+    assert write_assembly(*case) == sorted_write_assembly(*case)
+
+
+def record_parse_assembly(text):
+    """`parse_assembly` reading `place` records through the generic record
+    reader, kept as the reference for its results and messages."""
+    bound = None
+    count = None
+    placements = {}
+    fields = {"bound": "ii", "placed": "i", "place": "iiis"}
+    for kind, values in formats._records(text, ASSEMBLY_HEADER, fields):
+        if kind == "bound":
+            bound = tuple(values)
+        elif kind == "placed":
+            count, = values
+        else:
+            x, y, tile_id, label = values
+            if (x, y) in placements:
+                raise FormatError(f"duplicate placement at {(x, y)}")
+            placements[(x, y)] = (tile_id, label)
+    if bound is None:
+        raise FormatError("missing bound record")
+    for x, y in placements:
+        if not (0 <= x < bound[0] and 0 <= y < bound[1]):
+            raise FormatError(f"placement {(x, y)} is outside the "
+                              f"{bound[0]}x{bound[1]} bound")
+    if count is not None and count != len(placements):
+        raise FormatError("placement count does not match the records")
+    return bound, placements
+
+
+@st.composite
+def edited(draw, written, junk=NUMBER | JUNK):
     """A written document with a few lines copied, dropped or given a
-    junk token: text that mostly gets past the header."""
+    `junk` token: text that mostly gets past the header."""
     lines = draw(written).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
@@ -98,7 +161,7 @@ def edited(draw, written):
         elif edit == "drop" or not tokens:
             del lines[i]
         else:
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(NUMBER | JUNK)
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(junk)
             lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
 
@@ -115,6 +178,22 @@ def test_any_text_parses_or_raises_format_error(parse, texts, data):
         parse(data.draw(JUNK | texts))
     except FormatError:
         pass
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc)
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_parse_assembly_equals_the_record_reader(data):
+    text = data.draw(edited(assemblies().map(lambda c: write_assembly(*c)),
+                            NUMBER | MISSPELLED | JUNK))
+    assert outcome(parse_assembly, text) == outcome(record_parse_assembly,
+                                                    text)
 
 
 def numpy_render_cells(values, modulus, spec):

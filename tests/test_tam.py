@@ -1,15 +1,17 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractile import (Assembly, Coefficients, Direction, TileSystem, TileType,
-                      assemble_bounded, build_full_system, carpet_system,
-                      delannoy_rule, is_directed_empirically,
-                      prune_reachable, replay_is_valid, verify_self_assembly)
+from fractile import (Assembly, Coefficients, Direction, LocalRule,
+                      TileSystem, TileType, assemble_bounded,
+                      build_full_system, carpet_system, delannoy_rule,
+                      is_directed_empirically, prune_reachable,
+                      replay_is_valid, verify_self_assembly)
 from fractile.formats import write_assembly
-from fractile.tam import MAX_GROWTH_CELLS, check_growth_bound
+from fractile.tam import MAX_GROWTH_CELLS, Grower, check_growth_bound
 
 W, S, E, N = Direction.W, Direction.S, Direction.E, Direction.N
 
@@ -365,3 +367,41 @@ def test_growth_cap_is_checked_before_allocating(carpet):
     with pytest.raises(ValueError, match="MAX_GROWTH_CELLS"):
         verify_self_assembly(delannoy_rule(Coefficients(1, 1, 1, 3)),
                              (4097, 4096), 1)
+
+
+def test_each_draw_is_randrange_of_the_frontier():
+    # One empty cell beside the seed accepts all n candidates, which join
+    # the frontier in id order, so the tile placed there is the draw.
+    seed = TileType.make(0, "s", ("x", 1), ("x", 1), ("a", 2), ("x", 1))
+    candidates = [TileType.make(k, "c", ("a", 2), ("y", 1), ("y", 1),
+                                ("y", 1)) for k in range(1, 1101)]
+    for n in range(1, 1101):
+        system = TileSystem((seed, *candidates[:n]), {(0, 0): seed}, 2)
+        grower = Grower(system)
+        for order_seed in (0, 1, 2, 99, 2 ** 40 + 7):
+            placed = grower.grow((1, 2), order_seed).placements[(0, 1)]
+            assert placed.id - 1 == random.Random(order_seed).randrange(n)
+
+
+def test_negative_order_seed_is_refused(carpet):
+    # Random seeds an int by its absolute value, so -3 would regrow 3
+    for order_seed in (-1, -3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            assemble_bounded(carpet, (9, 9), order_seed)
+    with pytest.raises(ValueError, match="nonnegative"):
+        is_directed_empirically(carpet, (9, 9), 3, base_seed=-1)
+    # verify refuses it before compiling: this rule cannot be evaluated
+    broken = LocalRule(2, (0,), lambda west, south: 1 // 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_self_assembly(broken, (9, 9), 3, base_seed=-1)
+
+
+def test_trials_share_one_grower(carpet):
+    # the profile memo filled by earlier runs leaves later draws unchanged
+    grower = Grower(carpet, lax=True)
+    for order_seed in (4, 5, 4):
+        shared = grower.grow((20, 17), order_seed)
+        fresh = assemble_bounded(carpet, (20, 17), order_seed, lax=True)
+        assert shared.attachment_order == fresh.attachment_order
+        assert list(shared.placements.items()) == list(
+            fresh.placements.items())
