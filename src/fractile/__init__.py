@@ -7,11 +7,10 @@ from importlib import import_module
 
 _EXPORTS = {
     "matrix": ("BOTTOM", "Coefficients", "ResidueMatrix", "closed_form",
-               "delannoy_matrix", "is_prime", "lucas_binomial",
-               "pascal_matrix", "path_cost_oracle"),
+               "delannoy_matrix", "is_prime", "path_cost_oracle"),
     "selfsim": ("LemmaReport", "SelfSimReport", "check_lemmas",
-                "check_self_similarity", "fractal_set"),
-    "tam": ("Assembly", "Direction", "DirectednessResult", "TileSystem",
+                "check_self_similarity"),
+    "tam": ("Assembly", "DirectednessResult", "TileSystem",
             "TileType", "assemble_bounded", "is_directed_empirically",
             "replay_is_valid"),
     "tilegen": ("LocalRule", "build_full_system", "build_tile",

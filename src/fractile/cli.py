@@ -88,7 +88,10 @@ def cmd_simulate(args) -> int:
     from . import formats
     system = formats.parse_tileset(text)
     bound = (args.bound[0], args.bound[-1])
-    from .tam import assemble_bounded
+    from .tam import assemble_bounded, check_growth_bound
+    if args.image is not None:  # refused before growth writes a dump
+        check_growth_bound(*bound)
+        formats.check_pixmap(*bound, spec)
     assembly = assemble_bounded(system, bound, args.seed, lax=args.lax)
     _write_text(args.out, formats.write_assembly(assembly, bound))
     if args.image is not None:
@@ -113,12 +116,14 @@ def _render_spec(args) -> RenderSpec:
 def cmd_render(args) -> int:
     spec = _render_spec(args)
     text = Path(args.source).read_text()
-    from . import formats
+    from . import formats, matrix
     header, _ = formats.split_header(text)
     if header == formats.GRID_HEADER:
         modulus, rows = formats.grid_rows(text)
     elif header == formats.ASSEMBLY_HEADER:
         bound, placements = formats.parse_assembly(text)
+        matrix.check_cells(*bound, "bound")  # a bad bound is named first
+        formats.check_pixmap(*bound, spec)
         rows, modulus = formats.assembly_value_grid(placements, bound), None
     else:
         raise formats.FormatError(

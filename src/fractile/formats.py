@@ -29,7 +29,7 @@ directed system produce byte-identical dumps.  Images are binary portable
 pixmaps (P6) with matrix row 0 along the bottom edge, built from rows of
 ints in pure Python.
 
-Only `parse_grid` loads numpy, and only `parse_tileset` loads `tam`, so
+No function here loads numpy, and only `parse_tileset` loads `tam`, so
 a command that renders or reads a dump loads neither.
 """
 
@@ -154,12 +154,6 @@ def grid_rows(text: str) -> tuple[int, list[list[int]]]:
             raise FormatError("entries must lie in [0, modulus)")
         rows.append(row)
     return modulus, rows
-
-
-def parse_grid(text: str) -> ResidueMatrix:
-    import numpy as np
-    modulus, rows = grid_rows(text)
-    return ResidueMatrix(modulus, np.array(rows, dtype=np.int64))
 
 
 def write_tileset(system: TileSystem) -> str:
@@ -337,6 +331,11 @@ def parse_palette(spec: str) -> dict[int, RGB]:
     return palette
 
 
+def check_pixmap(height: int, width: int, spec: RenderSpec) -> None:
+    """Refuse a pixmap of height x width cells before any row is built."""
+    check_cells(height * spec.cell_size, width * spec.cell_size, "pixmap")
+
+
 def render_cells(rows: list[list[int]], modulus: int | None,
                  spec: RenderSpec) -> bytes:
     """Render rows of residues (Python ints, row 0 first, all of one
@@ -351,7 +350,7 @@ def render_cells(rows: list[list[int]], modulus: int | None,
     """
     size = spec.cell_size
     height, width = len(rows), len(rows[0]) if rows else 0
-    check_cells(height * size, width * size, "pixmap")
+    check_pixmap(height, width, spec)
     distinct = sorted(set().union(*rows))
     palette = spec.palette
     if palette is None:
@@ -376,19 +375,23 @@ _LABEL_LIMIT = 2 ** 63
 def assembly_value_grid(placements: dict[Position, tuple[int, str]],
                         bound: tuple[int, int]) -> list[list[int]]:
     """Labels of a placement map as rows of residues, row 0 first;
-    unplaced cells become -1."""
+    unplaced cells become -1.  Each distinct label is parsed once."""
     height, width = bound
     check_cells(height, width, "bound")
     rows = [[-1] * width for _ in range(height)]
+    values: dict[str, int] = {}
     for (x, y), (_, label) in placements.items():
         if not (0 <= x < height and 0 <= y < width):
             continue
-        try:
-            value = _integer(label)
-        except ValueError:
-            value = -1  # not an integer: refused like a negative one
-        if not 0 <= value < _LABEL_LIMIT:
-            raise FormatError(
-                f"label {label!r} at ({x}, {y}) is not a residue")
+        value = values.get(label)
+        if value is None:
+            try:
+                value = _integer(label)
+            except ValueError:
+                value = -1  # not an integer: refused like a negative one
+            if not 0 <= value < _LABEL_LIMIT:
+                raise FormatError(
+                    f"label {label!r} at ({x}, {y}) is not a residue")
+            values[label] = value
         rows[x][y] = value
     return rows

@@ -27,10 +27,8 @@ if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
 
 
 class _Bottom:
-    """Sentinel for logical entries outside the first quadrant.
-
-    Storage never contains it; accessors return it for negative indices.
-    """
+    """Sentinel ⊥ for a cell outside the first quadrant, as `tilegen`
+    windows read it; a matrix never stores it."""
 
     _instance = None
 
@@ -124,14 +122,13 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class ResidueMatrix:
-    """A finite window of residues with ⊥ semantics outside the quadrant.
+    """A finite window of residues.
 
     `entries` is a dense row-major array; index [x, y] means row x
-    (increasing northward) and column y (increasing eastward).  Negative
-    logical indices yield BOTTOM through the accessor, never a residue.
-    The entries are stored read-only in the smallest unsigned dtype that
-    holds the modulus; an input already contiguous in that dtype is kept,
-    not copied.
+    (increasing northward) and column y (increasing eastward).  The
+    entries are stored read-only in the smallest unsigned dtype that holds
+    the modulus; an input already contiguous in that dtype is kept, not
+    copied.
     """
 
     modulus: int
@@ -161,14 +158,6 @@ class ResidueMatrix:
     @property
     def width(self) -> int:
         return int(self.entries.shape[1])
-
-    def __getitem__(self, key: tuple[int, int]):
-        x, y = key
-        if x < 0 or y < 0:
-            return BOTTOM
-        if x >= self.height or y >= self.width:
-            raise IndexError(f"({x}, {y}) is outside the materialized window")
-        return int(self.entries[x, y])
 
 
 # Anti-diagonals computed between two write-backs to the window.
@@ -226,11 +215,6 @@ def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMat
             m[i, j0:j1] = diag[j0 + i - d0 + 2:j1 + i - d0 + 2, i + 1]
         diag[:2] = diag[runs:runs + 2]
     return ResidueMatrix(coeffs.p, m)
-
-
-def pascal_matrix(p: int, height: int, width: int) -> ResidueMatrix:
-    """Binomial residues: entry [i, j] is C(i+j, j) mod p."""
-    return delannoy_matrix(Coefficients(1, 0, 1, p), height, width)
 
 
 def lucas_binomial(n: int, k: int, p: int) -> int:

@@ -15,7 +15,7 @@ identities the congruence rests on, by brute force, as falsifiable checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .matrix import (Coefficients, ResidueMatrix, _uint_holding,
                      delannoy_matrix)
@@ -247,15 +247,3 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
                                conc_bad is None, conc_bad, conc_cases))
 
     return LemmaReport(coeffs, k_max, tuple(results))
-
-
-def fractal_set(matrix: ResidueMatrix, keep: Iterable[int]) -> set[tuple[int, int]]:
-    """Coordinates whose entry lies in `keep` (a subset of the residues)."""
-    import numpy as np
-    keep = set(keep)
-    if not keep:
-        return set()
-    if not all(v in range(matrix.modulus) for v in keep):
-        raise ValueError("keep must be a subset of [0, modulus)")
-    mask = np.isin(matrix.entries, sorted(keep))
-    return {(int(x), int(y)) for x, y in np.argwhere(mask)}

@@ -21,7 +21,6 @@ import random
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .matrix import check_cells
@@ -30,23 +29,11 @@ Position = tuple[int, int]
 Glue = tuple[str, int]
 
 
-class Direction(Enum):
-    N = (1, 0)
-    S = (-1, 0)
-    E = (0, 1)
-    W = (0, -1)
-
-
-# Storage order for the per-edge tuples on TileType.
-EDGE_ORDER = (Direction.W, Direction.S, Direction.E, Direction.N)
-_EDGE_INDEX = {d: i for i, d in enumerate(EDGE_ORDER)}
-
-
 @dataclass(frozen=True)
 class TileType:
     """A unit square with a glue color and strength on each edge.
 
-    `colors` and `strengths` are stored in EDGE_ORDER (W, S, E, N).
+    `colors` and `strengths` are stored in W, S, E, N order.
     Tiles do not rotate; `id` is a stable ordinal within its system.
     """
 
@@ -64,15 +51,9 @@ class TileType:
 
     @cached_property
     def edges(self) -> tuple[Glue, Glue, Glue, Glue]:
-        """One (color, strength) glue per edge, in EDGE_ORDER; built on
+        """One (color, strength) glue per edge, in W, S, E, N order; built on
         first use, since most tiles of a full construction never attach."""
         return tuple(zip(self.colors, self.strengths))
-
-    def color(self, d: Direction) -> str:
-        return self.colors[_EDGE_INDEX[d]]
-
-    def strength(self, d: Direction) -> int:
-        return self.strengths[_EDGE_INDEX[d]]
 
     @classmethod
     def make(cls, tile_id: int, label: str,
@@ -134,7 +115,7 @@ class Assembly:
 
 def _intern(tiles: Iterable[TileType]
             ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Each tile's four glues (its `edges`, in EDGE_ORDER) as small ints,
+    """Each tile's four glues (its `edges`, W, S, E, N) as small ints,
     and the strength of each glue id.  Equal glues get equal ids; id 0 is
     the glue an empty neighbor presents, of strength 0."""
     ids: dict[Glue, int] = {}

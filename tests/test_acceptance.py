@@ -14,9 +14,8 @@ from fractile import (Coefficients, ResidueMatrix, TileSystem, TileType,
                       assemble_bounded, build_full_system, carpet_system,
                       check_induction_clauses, check_lemmas,
                       check_self_similarity, closed_form, delannoy_matrix,
-                      delannoy_rule, fractal_set, is_directed_empirically,
-                      pascal_matrix, path_cost_oracle, prune_reachable,
-                      verify_self_assembly)
+                      delannoy_rule, is_directed_empirically,
+                      path_cost_oracle, prune_reachable, verify_self_assembly)
 from fractile.formats import write_assembly
 
 CARPET = Coefficients(1, 1, 1, 3)
@@ -108,15 +107,15 @@ def test_criterion_5_oracle_equivalence():
         matrix = delannoy_matrix(coeffs, 41, 41)
         for i in range(41):
             for j in range(41):
-                assert closed_form(coeffs, i, j) == matrix[i, j], \
+                assert closed_form(coeffs, i, j) == matrix.entries[i, j], \
                     (coeffs, i, j)
     for coeffs in sets:
         matrix = delannoy_matrix(coeffs, 13, 13)
         for i in range(13):
             for j in range(13):
                 if i + j <= 12:
-                    assert path_cost_oracle(coeffs, i, j) == matrix[i, j], \
-                        (coeffs, i, j)
+                    assert path_cost_oracle(coeffs, i, j) \
+                        == matrix.entries[i, j], (coeffs, i, j)
     report(5, f"closed form to 40x40 and path enumeration to i+j=12 "
               f"on {len(sets)} coefficient sets", started)
 
@@ -145,12 +144,13 @@ def test_criterion_6_lemma_suite():
 
 def test_criterion_7_pascal_special_case():
     started = time.perf_counter()
-    outcome = check_self_similarity(pascal_matrix(2, 256, 256), 2)
+    binomial = Coefficients(1, 0, 1, 2)
+    outcome = check_self_similarity(delannoy_matrix(binomial, 256, 256), 2)
     assert outcome.holds and outcome.max_k == 7
-    points = fractal_set(pascal_matrix(2, 64, 64), {1})
-    binary_oracle = {(i, j) for i in range(64) for j in range(64)
-                     if i & j == 0}
-    assert points == binary_oracle
+    nonzero = delannoy_matrix(binomial, 64, 64).entries != 0
+    binary_oracle = np.array([[i & j == 0 for j in range(64)]
+                              for i in range(64)])
+    assert np.array_equal(nonzero, binary_oracle)
     report(7, "binomial residues: self-similar at 256 and the order-6 "
               "triangle point set matches the binary oracle", started)
 

@@ -40,7 +40,7 @@ def test_write_grid_equals_per_cell_text(modulus):
     want += [" ".join(str(int(v)) for v in row) for row in ent]
     text = formats.write_grid(m)
     assert text == "\n".join(want) + "\n"
-    assert np.array_equal(formats.parse_grid(text).entries, ent)
+    assert formats.grid_rows(text) == (modulus, ent.tolist())
 
 
 def test_matrix_rejects_composite_modulus(capsys):
@@ -234,7 +234,7 @@ def test_simulate_round_trip_and_determinism(tmp_path):
 
     grid = delannoy_matrix(Coefficients(1, 1, 1, 3), 27, 27)
     for (x, y), (_, label) in placements.items():
-        assert int(label) == grid[x, y]
+        assert int(label) == grid.entries[x, y]
 
 
 def test_simulate_stall_exit_code(tmp_path, capsys):
@@ -468,6 +468,40 @@ def test_render_at_the_cell_limit(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="MAX_CELLS"):
         formats.assembly_value_grid({}, (6, 7))
     assert run("render", str(dump), "--out", out, "--cell-size", "1") == 2
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("render", ("--cell-size", "8")),
+    ("simulate", ("--bound", "27", "--cell-size", "1000")),
+    ("simulate", ("--bound", "1024", "--cell-size", "17")),
+], ids=["render-8192", "simulate-27", "simulate-1024"])
+def test_oversized_pixmap_is_refused_before_any_work(tmp_path, capsys,
+                                                    command, flags):
+    # the refused pixmaps are 65536^2, 27000^2 and 17408^2; the dump's value
+    # rows would take 537 MB and growing the 1024^2 bound about 170 MB
+    dump = tmp_path / "big.dump"
+    dump.write_text("assembly v1\nbound 8192 8192\nplaced 0\n")
+    tiles = tmp_path / "carpet.tiles"
+    run("tileset", *CARPET_FLAGS, "--out", str(tiles))
+    image, out = tmp_path / "x.ppm", tmp_path / "a.dump"
+    argv = {"render": ["render", str(dump), "--out", str(image)],
+            "simulate": ["simulate", "--tileset", str(tiles), "--out",
+                         str(out), "--image", str(image)]}[command]
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run(*argv, *flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2 ** 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: pixmap ")
+    assert "exceeds MAX_CELLS" in captured.err
+    assert not image.exists() and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from fractile import Assembly, ResidueMatrix, TileSystem, TileType
 from fractile import formats
 from fractile.formats import (ASSEMBLY_HEADER, FormatError, RenderSpec,
-                              default_palette, parse_assembly, parse_grid,
-                              parse_tileset, render_cells, write_assembly,
-                              write_grid, write_tileset)
+                              assembly_value_grid, default_palette,
+                              grid_rows, parse_assembly, parse_tileset,
+                              render_cells, write_assembly, write_grid,
+                              write_tileset)
 from fractile.matrix import MAX_MODULUS
 
 # One whitespace-free token, as labels and glues are written.
@@ -67,8 +68,7 @@ def assemblies(draw):
 
 @given(grids())
 def test_grid_round_trip(m):
-    text = write_grid(m)
-    assert write_grid(parse_grid(text)) == text
+    assert grid_rows(write_grid(m)) == (m.modulus, m.entries.tolist())
 
 
 @given(tilesets())
@@ -167,7 +167,7 @@ def edited(draw, written, junk=NUMBER | JUNK):
 
 
 @pytest.mark.parametrize("parse,texts", [
-    (parse_grid, edited(grids().map(write_grid))),
+    (grid_rows, edited(grids().map(write_grid))),
     (parse_tileset, edited(tilesets().map(write_tileset))),
     (parse_assembly, edited(assemblies().map(lambda c: write_assembly(*c)))),
 ], ids=["grid", "tileset", "assembly"])
@@ -194,6 +194,55 @@ def test_parse_assembly_equals_the_record_reader(data):
                             NUMBER | MISSPELLED | JUNK))
     assert outcome(parse_assembly, text) == outcome(record_parse_assembly,
                                                     text)
+
+
+def per_cell_value_grid(placements, bound):
+    """`assembly_value_grid` parsing the label of every cell, kept as the
+    reference for its rows and messages."""
+    height, width = bound
+    rows = [[-1] * width for _ in range(height)]
+    for (x, y), (_, label) in placements.items():
+        if not (0 <= x < height and 0 <= y < width):
+            continue
+        try:
+            value = formats._integer(label)
+        except ValueError:
+            value = -1
+        if not 0 <= value < 2 ** 63:
+            raise FormatError(
+                f"label {label!r} at ({x}, {y}) is not a residue")
+        rows[x][y] = value
+    return rows
+
+
+# Good labels, and negative, oversized, misspelled or non-integer ones.
+LABEL = (st.integers(0, 3).map(str) | st.sampled_from(
+    ["-1", str(2 ** 63 - 1), str(2 ** 63), str(2 ** 70)]) | MISSPELLED
+         | TOKEN)
+
+
+@st.composite
+def labelled_placements(draw):
+    """A placement map of a few labels, each on many cells, some of the
+    cells outside the bound."""
+    labels = draw(st.lists(LABEL, min_size=1, max_size=4))
+    cells = st.tuples(st.integers(-2, 5), st.integers(-2, 5))
+    placements = draw(st.dictionaries(
+        cells, st.tuples(st.integers(0, 3), st.sampled_from(labels)),
+        max_size=30))
+    return placements, (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+
+
+@given(labelled_placements())
+@settings(max_examples=300)
+def test_assembly_value_grid_equals_the_per_cell_reference(case):
+    outcomes = []
+    for value_grid in (assembly_value_grid, per_cell_value_grid):
+        try:
+            outcomes.append(value_grid(*case))
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def numpy_render_cells(values, modulus, spec):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractile import (BOTTOM, Coefficients, ResidueMatrix, closed_form,
-                      delannoy_matrix, is_prime, lucas_binomial,
-                      pascal_matrix, path_cost_oracle)
+from fractile import (Coefficients, ResidueMatrix, closed_form,
+                      delannoy_matrix, is_prime, path_cost_oracle)
 import fractile.matrix
-from fractile.matrix import MAX_CELLS, MAX_MODULUS, PATH_ORACLE_LIMIT
+from fractile.matrix import (MAX_CELLS, MAX_MODULUS, PATH_ORACLE_LIMIT,
+                             lucas_binomial)
 
 from conftest import SMALL_PRIMES, reference_corner_matrix
 
@@ -111,25 +111,27 @@ def test_transpose_symmetry(coeffs):
 
 
 def test_pascal_mod_2_window():
-    m = pascal_matrix(2, 4, 4)
+    m = delannoy_matrix(Coefficients(1, 0, 1, 2), 4, 4)
     assert m.entries.tolist() == [[1, 1, 1, 1], [1, 0, 1, 0],
                                   [1, 1, 0, 0], [1, 0, 0, 0]]
 
 
 def test_pascal_first_row_is_ones():
-    assert pascal_matrix(5, 1, 5).entries.tolist() == [[1, 1, 1, 1, 1]]
+    m = delannoy_matrix(Coefficients(1, 0, 1, 5), 1, 5)
+    assert m.entries.tolist() == [[1, 1, 1, 1, 1]]
 
 
 def test_pascal_central_entry_mod_3():
-    assert pascal_matrix(3, 3, 3)[2, 2] == math.comb(4, 2) % 3 == 0
+    m = delannoy_matrix(Coefficients(1, 0, 1, 3), 3, 3)
+    assert m.entries[2, 2] == math.comb(4, 2) % 3 == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_pascal_matches_binomials(p):
-    m = pascal_matrix(p, 16, 16)
+    m = delannoy_matrix(Coefficients(1, 0, 1, p), 16, 16)
     for i in range(16):
         for j in range(16):
-            assert m[i, j] == math.comb(i + j, j) % p
+            assert m.entries[i, j] == math.comb(i + j, j) % p
 
 
 def test_pascal_matches_additive_accumulation():
@@ -139,7 +141,8 @@ def test_pascal_matches_additive_accumulation():
     for i in range(1, size):
         for j in range(1, size):
             table[i][j] = (table[i][j - 1] + table[i - 1][j]) % p
-    assert pascal_matrix(p, size, size).entries.tolist() == table
+    m = delannoy_matrix(Coefficients(1, 0, 1, p), size, size)
+    assert m.entries.tolist() == table
 
 
 def test_closed_form_hand_expansion():
@@ -157,7 +160,7 @@ def test_closed_form_matches_recursion(coeffs):
     m = delannoy_matrix(co, 14, 14)
     for i in range(14):
         for j in range(14):
-            assert closed_form(co, i, j) == m[i, j]
+            assert closed_form(co, i, j) == m.entries[i, j]
 
 
 def test_path_oracle_three_paths():
@@ -182,7 +185,7 @@ def test_path_oracle_matches_recursion(coeffs):
     for i in range(7):
         for j in range(7):
             if i + j <= 12:
-                assert path_cost_oracle(co, i, j) == m[i, j]
+                assert path_cost_oracle(co, i, j) == m.entries[i, j]
 
 
 def test_path_oracle_guard():
@@ -264,15 +267,6 @@ def test_coefficients_reduced_mod_p():
 def test_prime_checker():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
-
-def test_accessor_bottom_and_bounds():
-    m = delannoy_matrix(Coefficients(1, 1, 1, 3), 3, 3)
-    assert m[-1, 0] is BOTTOM
-    assert m[0, -5] is BOTTOM
-    assert m[2, 2] == 1
-    with pytest.raises(IndexError):
-        m[3, 0]
 
 
 def test_entries_are_immutable():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import fractile.selfsim
 from fractile import (Coefficients, ResidueMatrix, check_lemmas,
-                      check_self_similarity, delannoy_matrix, fractal_set,
-                      pascal_matrix)
+                      check_self_similarity, delannoy_matrix)
 
 from conftest import SMALL_PRIMES
 
@@ -25,7 +24,8 @@ def test_carpet_is_self_similar_with_derived_k():
 
 
 def test_pascal_mod_2_is_self_similar():
-    report = check_self_similarity(pascal_matrix(2, 256, 256), 2)
+    m = delannoy_matrix(Coefficients(1, 0, 1, 2), 256, 256)
+    report = check_self_similarity(m, 2)
     assert report.holds and report.max_k == 7
 
 
@@ -54,8 +54,8 @@ def test_lemmas_hold_where_products_exceed_storage(coeffs):
 
 def test_corrupting_the_largest_residue_wraps_to_zero():
     m = delannoy_matrix(Coefficients(250, 0, 1, 251), 2, 2)
-    assert m.entries.dtype == np.uint8 and m[0, 1] == 250
-    assert _corrupt(m, 0, 1)[0, 1] == 0
+    assert m.entries.dtype == np.uint8 and m.entries[0, 1] == 250
+    assert _corrupt(m, 0, 1).entries[0, 1] == 0
 
 
 def _corrupt(matrix, x, y):
@@ -70,8 +70,9 @@ def test_corruption_is_detected_with_replayable_witness():
     assert not report.holds
     v = report.first_violation
     w = 3 ** v.k
-    lhs = m[v.s * w + v.i, v.t * w + v.j]
-    rhs = m[v.s, v.t] * m[v.i, v.j] % 3
+    ent = m.entries.astype(int)
+    lhs = ent[v.s * w + v.i, v.t * w + v.j]
+    rhs = ent[v.s, v.t] * ent[v.i, v.j] % 3
     assert lhs != rhs
 
 
@@ -200,12 +201,12 @@ def test_lemma_suite_passes_for_carpet_weights():
 def test_adjacent_pair_cancellation_by_hand():
     # 1*M[1,2] + 1*M[0,2] over the integers is 5 + 1, divisible by 3.
     m = delannoy_matrix(Coefficients(1, 1, 1, 101), 3, 3)
-    assert (m[1, 2] + m[0, 2]) % 3 == 0
+    assert (m.entries[1, 2] + m.entries[0, 2]) % 3 == 0
 
 
 def test_corner_base_case():
     m = delannoy_matrix(Coefficients(2, 1, 4, 5), 2, 2)
-    assert m[0, 0] == 1  # p^0 - 1 = 0 on both axes
+    assert m.entries[0, 0] == 1  # p^0 - 1 = 0 on both axes
 
 
 def test_lemmas_reject_tiny_k_and_huge_windows():
@@ -219,61 +220,36 @@ def test_lemmas_reject_tiny_k_and_huge_windows():
 def test_last_column_alternates_for_unit_weights(p):
     m = delannoy_matrix(Coefficients(1, 1, 1, p), p, p)
     for i in range(p):
-        assert m[i, p - 1] == (1 if i % 2 == 0 else p - 1)
+        assert m.entries[i, p - 1] == (1 if i % 2 == 0 else p - 1)
 
 
-def test_fractal_set_of_small_carpet():
-    pts = fractal_set(carpet(3), {1, 2})
-    assert len(pts) == 8 and (1, 1) not in pts
+def test_nonzero_mask_of_small_carpet():
+    mask = carpet(3).entries != 0
+    assert mask.sum() == 8 and not mask[1, 1]
 
 
-def test_fractal_set_empty_keep():
-    assert fractal_set(carpet(3), set()) == set()
+def test_nonzero_mask_pascal_triangle_order_2():
+    mask = delannoy_matrix(Coefficients(1, 0, 1, 2), 4, 4).entries != 0
+    assert mask.sum() == 9
+    assert mask.tolist() == [[i & j == 0 for j in range(4)] for i in range(4)]
 
 
-def test_fractal_set_pascal_triangle_order_2():
-    pts = fractal_set(pascal_matrix(2, 4, 4), {1})
-    assert len(pts) == 9
-    assert pts == {(i, j) for i in range(4) for j in range(4) if i & j == 0}
-
-
-def test_fractal_set_validates_keep():
-    with pytest.raises(ValueError):
-        fractal_set(carpet(3), {3})
-
-
-def test_fractal_set_validates_keep_without_a_modulus_sized_set():
-    m = ResidueMatrix(1_000_003, np.array([[5]]))
-    tracemalloc.start()
-    try:
-        assert fractal_set(m, {5, 1_000_002}) == {(0, 0)}
-        assert fractal_set(m, [5.0, True]) == {(0, 0)}
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000  # a set of every residue takes tens of MB
-    for bad in ([1_000_003], [-1], [2.5], ["5"]):
-        with pytest.raises(ValueError):
-            fractal_set(m, bad)
-
-
-def test_fractal_set_scales_geometrically():
-    # Nonzero point set of a self-similar matrix: each p^k square is either
+def test_nonzero_mask_scales_geometrically():
+    # Nonzero mask of a self-similar matrix: each p^k square is either
     # empty or a translate of the origin square.
     side, p = 81, 3
     m = carpet(side)
-    pts = fractal_set(m, {1, 2})
+    mask = m.entries != 0
     for k in (1, 2, 3):
         w = p ** k
-        origin = {(x, y) for (x, y) in pts if x < w and y < w}
+        origin = mask[:w, :w]
         for s in range(p):
             for t in range(p):
-                square = {(x - s * w, y - t * w) for (x, y) in pts
-                          if s * w <= x < (s + 1) * w and t * w <= y < (t + 1) * w}
-                if m[s, t] == 0:
-                    assert square == set()
+                square = mask[s * w:(s + 1) * w, t * w:(t + 1) * w]
+                if m.entries[s, t] == 0:
+                    assert not square.any()
                 else:
-                    assert square == origin
+                    assert np.array_equal(square, origin)
 
 
 # Every cell of these windows is raised by 1 mod p in turn; the reports of

@@ -33,6 +33,10 @@ LOADS = {
     "simulate-image": (("simulate", "--tileset", "{tiles}", "--bound", "27",
                         "--out", "b.dump", "--image", "b.ppm"), 0,
                        "cli formats matrix tam", False),
+    "simulate-image-too-big": (("simulate", "--tileset", "{tiles}",
+                                "--bound", "27", "--cell-size", "1000",
+                                "--out", "c.dump", "--image", "c.ppm"), 2,
+                               "cli formats matrix tam", False),
     "render-grid": (("render", "m.grid", "--out", "m.ppm"), 0,
                     "cli formats matrix", False),
     "render-dump": (("render", "a.dump", "--out", "a.ppm"), 0,

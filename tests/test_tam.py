@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractile import (Assembly, Coefficients, Direction, LocalRule,
-                      TileSystem, TileType, assemble_bounded,
-                      build_full_system, carpet_system, delannoy_rule,
-                      is_directed_empirically, prune_reachable,
-                      replay_is_valid, verify_self_assembly)
+from fractile import (Assembly, Coefficients, LocalRule, TileSystem,
+                      TileType, assemble_bounded, build_full_system,
+                      carpet_system, delannoy_rule, is_directed_empirically,
+                      prune_reachable, replay_is_valid, verify_self_assembly)
 from fractile.formats import write_assembly
 from fractile.tam import MAX_GROWTH_CELLS, Grower, check_growth_bound
 
-W, S, E, N = Direction.W, Direction.S, Direction.E, Direction.N
+W, S, E, N = 0, 1, 2, 3  # edge indices of TileType.colors and .strengths
 
 
 def carpet_tile(system, west_glue, south_glue):
     for t in system.tiles:
-        if t.color(W) == west_glue and t.color(S) == south_glue:
+        if t.colors[W] == west_glue and t.colors[S] == south_glue:
             return t
     raise LookupError((west_glue, south_glue))
 
@@ -232,9 +231,9 @@ def reference_attaches(placements, pos, tile, temperature, lax):
         neighbor = placements.get((x + dx, y + dy))
         if neighbor is None:
             continue
-        if (tile.color(d) == neighbor.color(facing)
-                and tile.strength(d) == neighbor.strength(facing)):
-            total += tile.strength(d)
+        if (tile.colors[d] == neighbor.colors[facing]
+                and tile.strengths[d] == neighbor.strengths[facing]):
+            total += tile.strengths[d]
         elif not lax:
             return False
     return total >= temperature

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractile import (BOTTOM, Coefficients, Direction, LocalRule, TileType,
+from fractile import (BOTTOM, Coefficients, LocalRule, TileType,
                       assemble_bounded, build_full_system, build_tile,
                       delannoy_matrix, delannoy_rule, horizon_is_stable,
                       prune_reachable, rule_matrix, window_at)
@@ -15,7 +15,7 @@ from fractile.tilegen import glue_rows, glue_vector, symbol_token
 
 from conftest import window_sum_rule
 
-W, S, E, N = Direction.W, Direction.S, Direction.E, Direction.N
+W, S, E, N = 0, 1, 2, 3  # edge indices of TileType.colors and .strengths
 
 CARPET = Coefficients(1, 1, 1, 3)
 
@@ -80,26 +80,26 @@ def test_window_sum_rule_matrix_hand_values():
 def test_build_tile_seed(carpet_rule):
     tile = build_tile(carpet_rule, ((BOTTOM,), ((BOTTOM, BOTTOM),)))
     assert tile.label == "1"
-    assert (tile.color(E), tile.strength(E)) == ("1", 2)
-    assert (tile.color(N), tile.strength(N)) == ("(_,1)", 2)
-    assert (tile.color(W), tile.strength(W)) == ("_", 1)
-    assert (tile.color(S), tile.strength(S)) == ("(_,_)", 1)
+    assert (tile.colors[E], tile.strengths[E]) == ("1", 2)
+    assert (tile.colors[N], tile.strengths[N]) == ("(_,1)", 2)
+    assert (tile.colors[W], tile.strengths[W]) == ("_", 1)
+    assert (tile.colors[S], tile.strengths[S]) == ("(_,_)", 1)
 
 
 def test_build_tile_first_row(carpet_rule):
     tile = build_tile(carpet_rule, ((1,), ((BOTTOM, BOTTOM),)))
     assert tile.label == "1"
-    assert (tile.color(W), tile.strength(W)) == ("1", 2)
-    assert (tile.color(E), tile.strength(E)) == ("1", 2)
-    assert (tile.color(N), tile.strength(N)) == ("(1,1)", 1)
+    assert (tile.colors[W], tile.strengths[W]) == ("1", 2)
+    assert (tile.colors[E], tile.strengths[E]) == ("1", 2)
+    assert (tile.colors[N], tile.strengths[N]) == ("(1,1)", 1)
 
 
 def test_build_tile_first_column(carpet_rule):
     tile = build_tile(carpet_rule, ((BOTTOM,), ((BOTTOM, 1),)))
     assert tile.label == "1"
-    assert (tile.color(S), tile.strength(S)) == ("(_,1)", 2)
-    assert (tile.color(N), tile.strength(N)) == ("(_,1)", 2)
-    assert tile.strength(W) == 1 and tile.strength(E) == 1
+    assert (tile.colors[S], tile.strengths[S]) == ("(_,1)", 2)
+    assert (tile.colors[N], tile.strengths[N]) == ("(_,1)", 2)
+    assert tile.strengths[W] == 1 and tile.strengths[E] == 1
 
 
 def test_build_tile_interior(carpet_rule):
@@ -206,12 +206,12 @@ def test_carpet_system_census(carpet):
 
 
 def test_carpet_interior_schema(carpet):
-    by_window = {(t.color(W), t.color(S)): t for t in carpet.tiles}
+    by_window = {(t.colors[W], t.colors[S]): t for t in carpet.tiles}
     t222 = by_window[("2", "(2,2)")]
-    assert t222.label == "0" and t222.color(N) == "(2,0)"
+    assert t222.label == "0" and t222.colors[N] == "(2,0)"
     t000 = by_window[("0", "(0,0)")]
-    assert t000.label == "0" and t000.color(E) == "0" \
-        and t000.color(N) == "(0,0)"
+    assert t000.label == "0" and t000.colors[E] == "0" \
+        and t000.colors[N] == "(0,0)"
 
 
 def test_carpet_seed_placement(carpet):
@@ -233,16 +233,16 @@ def test_adjacent_window_tiles_share_glues(make_rule, size):
             t = build_tile(rule, window_at(labels, x, y, rule.n))
             east = build_tile(rule, window_at(labels, x, y + 1, rule.n))
             north = build_tile(rule, window_at(labels, x + 1, y, rule.n))
-            assert t.color(E) == east.color(W)
-            assert t.color(N) == north.color(S)
+            assert t.colors[E] == east.colors[W]
+            assert t.colors[N] == north.colors[S]
 
 
 def test_strength_2_tiles_stay_on_their_axes(carpet):
     asm = assemble_bounded(carpet, (27, 27), 17)
     for (x, y), tile in asm.placements.items():
-        if tile.strength(E) == 2:
+        if tile.strengths[E] == 2:
             assert x == 0
-        if tile.strength(N) == 2:
+        if tile.strengths[N] == 2:
             assert y == 0
 
 
@@ -300,7 +300,7 @@ def reference_kept_ids(full, labels, n):
 
 
 def window_key(tile):
-    return (tile.color(W), tile.color(S))
+    return (tile.colors[W], tile.colors[S])
 
 
 @given(st.sampled_from((2, 3, 5)), st.data(),
