@@ -4,22 +4,19 @@
 and checks that every run tiles the bound completely, labels every cell
 with the rule's matrix value, and that all runs agree placement-for-
 placement.  `check_induction_clauses` replays an assembly's attachment
-history and asserts, after every step, the structural properties the
-construction is designed to maintain: the placed region stays downward-
-closed, nothing leaves the first quadrant, strength-2 edges stay on
-their axes, and each placed tile is exactly the compiled tile of the
-matrix window at its position.
+history and asserts, after every step, the growth invariants that the
+construction is designed to maintain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import check_cells
 from .tam import (Assembly, Grower, Position, check_growth_bound,
                   check_order_seed, divergence)
-from .tilegen import (LocalRule, build_full_system, build_tile,
-                      prune_reachable, rule_matrix, symbol_token, window_at)
+from .tilegen import (LocalRule, build_full_system, build_tile, label_grid,
+                      prune_reachable, rule_matrix, symbol_token,
+                      walk_windows)
 
 
 @dataclass(frozen=True)
@@ -177,9 +174,13 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
     (b) no placement has a negative coordinate; (c) tiles with an east
     strength of 2 sit in row 0; (d) tiles with a north strength of 2 sit
     in column 0; (e) each placed tile equals the compiled tile of the
-    matrix window at its position.  One scan of the placements' bounding
-    box yields the expected labels and each cell's compiled tile.
+    matrix window at its position.  One walk of the placements' bounding
+    box yields each cell's window, compiled once per distinct window.
+    Raises ValueError unless `Assembly.order_is_exact`.
     """
+    if not assembly.order_is_exact():
+        raise ValueError("the attachment order must list each placed "
+                         "position exactly once")
     violations: dict[str, tuple[int, Position, str] | None] = {
         name: None for name in
         ("downward_closed", "first_quadrant_only",
@@ -187,25 +188,15 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
          "tile_matches_window")}
 
     positions = assembly.attachment_order
-    n = rule.n
-    height = max(max((x for x, _ in positions), default=0) + 1, n)
-    width = max(max((y for _, y in positions), default=0) + 1, n)
-    # One row-major scan of the box [0, height) x [0, width) evaluates
-    # the rule cell by cell, as `scan_windows` does, and records each
-    # cell's compiled tile; each distinct window is compiled once.
-    check_cells(height, width, "horizon")
-    labels: list[list] = [[None] * width for _ in range(height)]
+    height = max(max((x for x, _ in positions), default=0) + 1, rule.n)
+    width = max(max((y for _, y in positions), default=0) + 1, rule.n)
     compiled: dict = {}
     tile_at = []
-    for x in range(height):
-        row = labels[x]
-        for y in range(width):
-            window = window_at(labels, x, y, n)
-            tile = compiled.get(window)
-            if tile is None:
-                tile = compiled[window] = build_tile(rule, window)
-            tile_at.append(tile)
-            row[y] = rule.evaluate(*window)
+    for window in walk_windows(rule, label_grid(height, width)):
+        tile = compiled.get(window)
+        if tile is None:
+            tile = compiled[window] = build_tile(rule, window)
+        tile_at.append(tile)
 
     def record(name: str, step: int, pos: Position, detail: str) -> None:
         if violations[name] is None:

@@ -21,7 +21,6 @@ import random
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 from .matrix import check_cells
 
@@ -48,12 +47,6 @@ class TileType:
         for s in self.strengths:
             if s not in (0, 1, 2):
                 raise ValueError("edge strengths must be 0, 1, or 2")
-
-    @cached_property
-    def edges(self) -> tuple[Glue, Glue, Glue, Glue]:
-        """One (color, strength) glue per edge, in W, S, E, N order; built on
-        first use, since most tiles of a full construction never attach."""
-        return tuple(zip(self.colors, self.strengths))
 
     @classmethod
     def make(cls, tile_id: int, label: str,
@@ -112,21 +105,29 @@ class Assembly:
     def id_map(self) -> dict[Position, int]:
         return {pos: tile.id for pos, tile in self.placements.items()}
 
+    def order_is_exact(self) -> bool:
+        """True when `attachment_order` lists each placed position exactly
+        once, the premise of every replay."""
+        order = self.attachment_order
+        return (len(order) == len(self.placements)
+                and set(order) == self.placements.keys())
+
 
 def _intern(tiles: Iterable[TileType]
             ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Each tile's four glues (its `edges`, W, S, E, N) as small ints,
-    and the strength of each glue id.  Equal glues get equal ids; id 0 is
-    the glue an empty neighbor presents, of strength 0."""
+    """Each tile's four (color, strength) glues, W, S, E, N, as small
+    ints, and the strength of each glue id.  Equal glues get equal ids;
+    id 0 is the glue an empty neighbor presents, of strength 0."""
     ids: dict[Glue, int] = {}
     strength = [0]
     faces = []
     for tile in tiles:
-        for glue in tile.edges:
+        edges = tuple(zip(tile.colors, tile.strengths))
+        for glue in edges:
             if glue not in ids:
                 ids[glue] = len(strength)
                 strength.append(glue[1])
-        faces.append(tuple(ids[glue] for glue in tile.edges))
+        faces.append(tuple(ids[glue] for glue in edges))
     return faces, strength
 
 
@@ -366,10 +367,9 @@ def is_directed_empirically(system: TileSystem, bound: tuple[int, int],
 def replay_is_valid(assembly: Assembly, temperature: int,
                     lax: bool = False) -> bool:
     """Re-validate an assembly against its own attachment order."""
-    order = assembly.attachment_order
-    placements = assembly.placements
-    if len(order) != len(placements) or set(order) != placements.keys():
+    if not assembly.order_is_exact():
         return False
+    order, placements = assembly.attachment_order, assembly.placements
     if not order:
         return True
     distinct = {id(t): t for t in placements.values()}

@@ -7,12 +7,14 @@ outside the first quadrant.  Every window is compiled to one tile whose
 west/south glues spell the window and whose east/north glues spell the
 windows of the successor cells, so cooperative temperature-2 growth
 reproduces the matrix cell by cell from a single seed tile.  A window
-is a plain (west, south) pair of symbol tuples: `window_at` reads one
-from a label grid, each of its rows one slice of a grid row padded with
-⊥ off the quadrant, `scan_windows` collects them, and `build_tile`
-compiles one.  Glue text is built once per distinct west vector and
-south submatrix: `build_full_system` shares that text across its whole
-domain, and only the computed cell's token is new in each tile.
+is a plain (west, south) pair of symbol tuples.  `walk_windows` is the
+one evaluation of a rule over a region: it fills a label grid in
+row-major order, yielding each cell's window (read by `window_at`, one
+slice per row padded with ⊥ off the quadrant) before it writes the
+cell's value.  `build_tile` compiles one window.  Glue text is built
+once per distinct west vector and south submatrix: `build_full_system`
+shares that text across its whole domain, and only the computed cell's
+token is new in each tile.
 
 Edge strengths are 1 except on the axes: the seed bonds eastward and
 northward at strength 2, first-row tiles bond east-west at strength 2,
@@ -23,9 +25,10 @@ nonempty south submatrix) bond north-south at strength 2.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .matrix import BOTTOM, Coefficients, check_cells
 from .tam import TileSystem, TileType
@@ -99,14 +102,10 @@ class LocalRule:
 
 def window_at(labels: Sequence[Sequence], x: int, y: int,
               n: int) -> tuple[tuple, tuple]:
-    """The (west, south) window at (x, y) read from a label grid; ⊥
-    off-quadrant.
-
-    (x, y) lies in the first quadrant, and the grid holds row x west of
-    column y and the n-1 rows below it through column y.  Each row of the
-    window is one slice of a grid row, padded with ⊥ on the west where it
-    runs off the quadrant; rows below row 0 are all ⊥.
-    """
+    """The (west, south) window at (x, y) of a label grid that holds row
+    x west of column y and the n-1 rows below it through column y.  Each
+    window row is one slice of a grid row, padded with ⊥ on the west off
+    the quadrant; rows below row 0 are all ⊥."""
     lo = y - n + 1
     if lo < 0:
         pad, lo = (BOTTOM,) * -lo, 0
@@ -121,28 +120,37 @@ def window_at(labels: Sequence[Sequence], x: int, y: int,
     return west, tuple(south)
 
 
+def label_grid(height: int, width: int) -> list[list]:
+    """An empty height x width label grid for `walk_windows` to fill."""
+    check_cells(height, width, "horizon")
+    return [[None] * width for _ in range(height)]
+
+
+def walk_windows(rule: LocalRule, labels: list[list]) -> Iterator[tuple]:
+    """Fill a label grid with the rule's values in row-major order,
+    yielding each cell's raw (west, south) window before writing the
+    cell's value when resumed, so later windows read it."""
+    n, evaluate = rule.n, rule.evaluate
+    for x, row in enumerate(labels):
+        for y in range(len(row)):
+            window = window_at(labels, x, y, n)
+            yield window
+            row[y] = evaluate(*window)
+
+
 def scan_windows(rule: LocalRule, height: int,
                  width: int) -> tuple[list[list], set]:
-    """Evaluate the rule cell by cell in row-major order, collecting windows.
-
-    Returns the label grid and the distinct raw (west, south) windows of
-    every cell.  Symbols serialize injectively, so raw windows compare
-    exactly as their glues do.
-    """
-    check_cells(height, width, "horizon")
-    labels: list[list] = [[None] * width for _ in range(height)]
-    windows: set = set()
-    for x in range(height):
-        for y in range(width):
-            window = window_at(labels, x, y, rule.n)
-            windows.add(window)
-            labels[x][y] = rule.evaluate(*window)
-    return labels, windows
+    """The label grid and the distinct raw (west, south) windows of its
+    cells, which compare exactly as their glues do."""
+    labels = label_grid(height, width)
+    return labels, set(walk_windows(rule, labels))
 
 
 def rule_matrix(rule: LocalRule, height: int, width: int) -> list[list]:
-    """Evaluate the rule cell by cell in row-major order."""
-    return scan_windows(rule, height, width)[0]
+    """The label grid the rule fills cell by cell in row-major order."""
+    labels = label_grid(height, width)
+    deque(walk_windows(rule, labels), maxlen=0)
+    return labels
 
 
 def build_tile(rule: LocalRule, window: tuple[tuple, tuple],

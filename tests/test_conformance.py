@@ -8,8 +8,8 @@ from fractile import (BOTTOM, Assembly, Coefficients, LocalRule, TileSystem,
                       TileType, assemble_bounded, build_full_system,
                       build_tile, carpet_system, check_induction_clauses,
                       delannoy_rule, delannoy_matrix,
-                      prune_reachable, scan_windows, verify_self_assembly,
-                      window_at)
+                      prune_reachable, replay_is_valid, scan_windows,
+                      verify_self_assembly, window_at)
 from fractile.conformance import (ClauseResult, InductionReport,
                                   compare_assembly_labels)
 from fractile.tilegen import symbol_token
@@ -171,6 +171,32 @@ def test_induction_clauses_replay_an_n3_rule():
     step, pos, detail = clause.violation
     assert pos == (5, 6) and asm.attachment_order[step] == (5, 6)
     assert f"placed tile {wrong.id} " in detail
+
+
+# Induction replays the attachment order, so it refuses an order that
+# does not list each placed position exactly once, as replay does.
+def test_induction_refuses_an_order_naming_an_unplaced_position(carpet):
+    asm = assemble_bounded(carpet, (5, 5), 1)
+    asm.attachment_order.append((5, 0))
+    with pytest.raises(ValueError, match="exactly once"):
+        check_induction_clauses(asm, delannoy_rule(CARPET))
+
+
+def test_induction_refuses_a_repeated_position(carpet):
+    asm = assemble_bounded(carpet, (5, 5), 1)
+    asm.attachment_order.append(asm.attachment_order[-1])
+    with pytest.raises(ValueError, match="exactly once"):
+        check_induction_clauses(asm, delannoy_rule(CARPET))
+
+
+def test_induction_refuses_a_placement_missing_from_the_order(carpet):
+    # a wrong tile outside the order once went unchecked: every clause held
+    asm = assemble_bounded(carpet, (5, 5), 1)
+    assert asm.attachment_order.pop() == (4, 4)
+    asm.placements[(4, 4)] = carpet.seed[(0, 0)]
+    assert not replay_is_valid(asm, 2)
+    with pytest.raises(ValueError, match="exactly once"):
+        check_induction_clauses(asm, delannoy_rule(CARPET))
 
 
 def test_gap_in_growth_trips_downward_closure(carpet):

@@ -11,7 +11,8 @@ from fractile import (BOTTOM, Coefficients, LocalRule, TileType,
                       delannoy_matrix, delannoy_rule, horizon_is_stable,
                       prune_reachable, rule_matrix, window_at)
 from fractile.formats import write_tileset
-from fractile.tilegen import glue_rows, glue_vector, symbol_token
+from fractile.tilegen import (glue_rows, glue_vector, label_grid,
+                              scan_windows, symbol_token, walk_windows)
 
 from conftest import window_sum_rule
 
@@ -454,6 +455,42 @@ def salted_rule(n, alphabet, salt):
         return alphabet[code % len(alphabet)]
 
     return LocalRule(n, alphabet, evaluate)
+
+
+def reference_rule_matrix(rule, height, width):
+    """Definitional per-cell loop: each cell evaluated on the window the
+    per-cell reader sees once every earlier cell is filled."""
+    labels = [[None] * width for _ in range(height)]
+    for x in range(height):
+        for y in range(width):
+            labels[x][y] = rule.evaluate(
+                *reference_window(labels, x, y, rule.n))
+    return labels
+
+
+@given(st.sampled_from((2, 3)), st.sampled_from(ALPHABETS),
+       st.integers(0, 50), st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=40)
+def test_walk_yields_each_window_before_writing_its_cell(n, alphabet, salt,
+                                                         height, width):
+    rule = salted_rule(n, alphabet, salt)
+    want = reference_rule_matrix(rule, height, width)
+    assert rule_matrix(rule, height, width) == want
+    labels, windows = scan_windows(rule, height, width)
+    assert labels == want
+    assert windows == {window_at(want, x, y, n) for x in range(height)
+                       for y in range(width)}
+    # when the walk yields a cell's window, exactly the earlier cells of
+    # the row-major order hold their values
+    grid = label_grid(height, width)
+    cells = 0
+    for k, window in enumerate(walk_windows(rule, grid)):
+        x, y = divmod(k, width)
+        assert window == reference_window(want, x, y, n), (x, y)
+        filled = [v for row in grid for v in row if v is not None]
+        assert filled == [v for row in want for v in row][:k], (x, y)
+        cells += 1
+    assert cells == height * width and grid == want
 
 
 @given(st.integers(2, 4), st.sampled_from(ALPHABETS), st.integers(0, 50),
