@@ -67,8 +67,7 @@ def cmd_tileset(args) -> int:
     coeffs = _coefficients(args)
     from .tilegen import build_full_system, delannoy_rule, prune_reachable
     rule = delannoy_rule(coeffs)
-    budget = {} if args.budget is None else {"budget": args.budget}
-    system = build_full_system(rule, **budget)
+    system = build_full_system(rule)
     if not args.no_prune:
         # Windows mentioning ⊥ hold row 0 (a^j) and column 0 (c^i); a unit's
         # powers all occur among its first p - 1, and a = 0 gives 1, 0, 0,
@@ -93,12 +92,14 @@ def cmd_simulate(args) -> int:
         check_growth_bound(*bound)
         formats.check_pixmap(*bound, spec)
     assembly = assemble_bounded(system, bound, args.seed, lax=args.lax)
-    _write_text(args.out, formats.write_assembly(assembly, bound))
-    if args.image is not None:
-        rows = formats.assembly_value_grid(
+    # the pixmap is built before the dump, so a refusal writes nothing
+    image = None if args.image is None else formats.render_cells(
+        formats.assembly_value_grid(
             {pos: (t.id, t.label) for pos, t in assembly.placements.items()},
-            bound)
-        Path(args.image).write_bytes(formats.render_cells(rows, None, spec))
+            bound), None, spec)
+    _write_text(args.out, formats.write_assembly(assembly, bound))
+    if image is not None:
+        Path(args.image).write_bytes(image)
     if len(assembly) < bound[0] * bound[1]:
         print(f"assembly stalled at {len(assembly)} of "
               f"{bound[0] * bound[1]} cells", file=sys.stderr)
@@ -110,7 +111,7 @@ def _render_spec(args) -> RenderSpec:
     """The render flags, checked before any work."""
     from .formats import RenderSpec, parse_palette
     palette = None if args.palette is None else parse_palette(args.palette)
-    return RenderSpec(palette, args.cell_size, not args.zero_color)
+    return RenderSpec(palette, args.cell_size)
 
 
 def cmd_render(args) -> int:
@@ -166,8 +167,6 @@ def _add_render_flags(parser) -> None:
                         help="palette like '0=255,255,255;1=0,0,0'")
     parser.add_argument("--cell-size", type=int, default=8,
                         help="pixels per lattice cell")
-    parser.add_argument("--zero-color", action="store_true",
-                        help="give residue 0 a palette hue instead of white")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coeff_flags(p)
     p.add_argument("--no-prune", action="store_true",
                    help="keep every tile of the full construction")
-    p.add_argument("--budget", type=int, default=None,
-                   help="maximum number of windows to compile (default 10^6)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_tileset)
 
@@ -234,11 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if (args.command == "tileset" and args.budget is not None
-            and args.budget < 1):
-        parser.error(f"--budget must be at least 1, got {args.budget}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tam import (Assembly, Grower, Position, check_growth_bound,
-                  check_order_seed, divergence)
+from .tam import (MAX_GROWTH_CELLS, Assembly, Grower, Position,
+                  check_growth_bound, check_order_seed, divergence)
 from .tilegen import (LocalRule, build_full_system, build_tile, label_grid,
                       prune_reachable, rule_matrix, symbol_token,
                       walk_windows)
@@ -176,7 +176,8 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
     in column 0; (e) each placed tile equals the compiled tile of the
     matrix window at its position.  One walk of the placements' bounding
     box yields each cell's window, compiled once per distinct window.
-    Raises ValueError unless `Assembly.order_is_exact`.
+    Raises ValueError unless `Assembly.order_is_exact`, and on a box over
+    `MAX_GROWTH_CELLS` cells, which no growth spans, before allocating.
     """
     if not assembly.order_is_exact():
         raise ValueError("the attachment order must list each placed "
@@ -190,6 +191,9 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
     positions = assembly.attachment_order
     height = max(max((x for x, _ in positions), default=0) + 1, rule.n)
     width = max(max((y for _, y in positions), default=0) + 1, rule.n)
+    if height * width > MAX_GROWTH_CELLS:
+        raise ValueError(f"placements span a {height}x{width} box, over "
+                         f"MAX_GROWTH_CELLS = {MAX_GROWTH_CELLS} cells")
     compiled: dict = {}
     tile_at = []
     for window in walk_windows(rule, label_grid(height, width)):

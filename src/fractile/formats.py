@@ -278,7 +278,6 @@ class RenderSpec:
 
     palette: dict[int, RGB] | None = None
     cell_size: int = 8
-    zero_as_background: bool = True
 
     def __post_init__(self) -> None:
         if self.cell_size < 1:
@@ -288,27 +287,25 @@ class RenderSpec:
                 raise ValueError(f"bad RGB triple for residue {value}: {rgb}")
 
 
-def default_palette(values, modulus: int,
-                    zero_as_background: bool = True) -> dict[int, RGB]:
+def default_palette(values, modulus: int) -> dict[int, RGB]:
     """Deterministic palette for the distinct ints `values` in [0, modulus).
 
     A colour depends only on the residue and the modulus, so palettes
     built from different value sets agree where they overlap.  Residue 0
-    is white when treated as background, otherwise it joins the hue wheel
-    with the nonzero residues.
+    is white, the background; the nonzero residues share the hue wheel,
+    or are black when there is only one.
     """
     palette: dict[int, RGB] = {}
-    start = 1 if zero_as_background else 0
-    count = modulus - start
     for value in values:
         if not 0 <= value < modulus:
             continue
-        if value < start:
+        if value == 0:
             palette[value] = (255, 255, 255)
-        elif count == 1:
+        elif modulus == 2:
             palette[value] = (0, 0, 0)
         else:
-            r, g, b = colorsys.hsv_to_rgb((value - start) / count, 0.85, 0.85)
+            hue = (value - 1) / (modulus - 1)
+            r, g, b = colorsys.hsv_to_rgb(hue, 0.85, 0.85)
             palette[value] = (int(r * 255), int(g * 255), int(b * 255))
     return palette
 
@@ -355,8 +352,7 @@ def render_cells(rows: list[list[int]], modulus: int | None,
     palette = spec.palette
     if palette is None:
         palette = default_palette(
-            distinct, distinct[-1] + 1 if modulus is None else modulus,
-            spec.zero_as_background)
+            distinct, distinct[-1] + 1 if modulus is None else modulus)
     missing = [v for v in distinct if v >= 0 and v not in palette]
     if missing:
         raise FormatError(f"palette does not cover residues {missing}")

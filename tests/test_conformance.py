@@ -208,6 +208,25 @@ def test_gap_in_growth_trips_downward_closure(carpet):
     assert not clause.holds and clause.violation[1] == (0, 2)
 
 
+@pytest.mark.parametrize("corner", [20000, 4096], ids=["20001", "4097"])
+def test_induction_refuses_a_box_no_growth_spans(carpet, corner):
+    # two placements span a corner + 1 square box, over MAX_GROWTH_CELLS
+    seed = carpet.seed[(0, 0)]
+    far = (corner, corner)
+    asm = Assembly({(0, 0): seed, far: seed}, [(0, 0), far], 1)
+    side = corner + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            check_induction_clauses(asm, delannoy_rule(CARPET))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (f"placements span a {side}x{side} box, over "
+                              f"MAX_GROWTH_CELLS = {2 ** 24} cells")
+    assert peak < 1_000_000  # the label grid alone would take 134 MB
+
+
 def test_negative_position_trips_quadrant_clause(carpet):
     seed = carpet.seed[(0, 0)]
     asm = Assembly({(0, 0): seed, (-1, 0): seed}, [(0, 0), (-1, 0)], 1)

@@ -254,8 +254,7 @@ def numpy_render_cells(values, modulus, spec):
     palette = spec.palette
     if palette is None:
         palette = default_palette(
-            distinct, distinct[-1] + 1 if modulus is None else modulus,
-            spec.zero_as_background)
+            distinct, distinct[-1] + 1 if modulus is None else modulus)
     colors = np.array([palette.get(v, (255, 255, 255))
                        for v in distinct], dtype=np.uint8).reshape(-1, 3)
     pixels = colors[np.flipud(inverse.reshape(values.shape))]
@@ -285,7 +284,7 @@ def render_cases(draw):
         palette = {v: draw(RGB) for v in sorted(present)}
         if draw(st.booleans()):
             palette[-1] = draw(RGB)
-    spec = RenderSpec(palette, draw(st.integers(1, 4)), draw(st.booleans()))
+    spec = RenderSpec(palette, draw(st.integers(1, 4)))
     return rows, modulus, spec
 
 

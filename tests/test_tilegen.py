@@ -1,5 +1,7 @@
 import hashlib
 import re
+import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -11,8 +13,9 @@ from fractile import (BOTTOM, Coefficients, LocalRule, TileType,
                       delannoy_matrix, delannoy_rule, horizon_is_stable,
                       prune_reachable, rule_matrix, window_at)
 from fractile.formats import write_tileset
-from fractile.tilegen import (glue_rows, glue_vector, label_grid,
-                              scan_windows, symbol_token, walk_windows)
+from fractile.tilegen import (MAX_WINDOWS, glue_rows, glue_vector,
+                              label_grid, scan_windows, symbol_token,
+                              walk_windows)
 
 from conftest import window_sum_rule
 
@@ -119,8 +122,27 @@ def test_full_system_counts():
 
 
 def test_full_system_budget():
-    with pytest.raises(ValueError):
-        build_full_system(delannoy_rule(CARPET), budget=63)
+    # p = 101 is the first prime over the cap: 102^3 windows
+    assert MAX_WINDOWS == 10 ** 6
+    for rule, count in ((delannoy_rule(Coefficients(1, 1, 1, 101)), 102 ** 3),
+                        (LocalRule(3, tuple("vwxyz"), lambda *w: "v"),
+                         6 ** 8)):
+        evaluated = []
+
+        def counted(*window, evaluate=rule.evaluate):
+            evaluated.append(window)
+            return evaluate(*window)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                build_full_system(replace(rule, evaluate=counted))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"domain has {count} windows, over the "
+                                  f"budget of {MAX_WINDOWS}")
+        assert evaluated == [] and peak < 100_000
 
 
 def test_full_system_ids_are_window_rank(carpet_rule):
