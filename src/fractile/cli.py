@@ -11,6 +11,8 @@ little more than `matrix`.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -20,11 +22,39 @@ if TYPE_CHECKING:  # each command imports what it runs
     from .matrix import Coefficients
 
 
+def _write_files(files: list[tuple[str, bytes]]) -> None:
+    """Write each (path, data) pair, or none of them.
+
+    Each file goes to a temporary name beside its target, and the targets
+    are replaced only once every write has succeeded.  A target that is a
+    directory is refused before anything is written, and the temporaries
+    are removed on any failure.
+    """
+    temps = []
+    try:
+        for n, (path, data) in enumerate(files):
+            target = Path(path)
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR), path)
+            temp = target.with_name(f".{target.name}.{os.getpid()}-{n}.tmp")
+            temps.append(temp)
+            try:
+                temp.write_bytes(data)
+            except OSError as exc:  # named by its target, not the temporary
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+        for temp, (path, _) in zip(temps, files):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write_files([(path, text.encode())])
 
 
 def _coefficients(args) -> Coefficients:
@@ -93,13 +123,16 @@ def cmd_simulate(args) -> int:
         formats.check_pixmap(*bound, spec)
     assembly = assemble_bounded(system, bound, args.seed, lax=args.lax)
     # the pixmap is built before the dump, so a refusal writes nothing
-    image = None if args.image is None else formats.render_cells(
+    files = [] if args.image is None else [(args.image, formats.render_cells(
         formats.assembly_value_grid(
             {pos: (t.id, t.label) for pos, t in assembly.placements.items()},
-            bound), None, spec)
-    _write_text(args.out, formats.write_assembly(assembly, bound))
-    if image is not None:
-        Path(args.image).write_bytes(image)
+            bound), None, spec))]
+    dump = formats.write_assembly(assembly, bound)
+    if args.out is None or args.out == "-":
+        _write_files(files)
+        sys.stdout.write(dump)
+    else:
+        _write_files([(args.out, dump.encode()), *files])
     if len(assembly) < bound[0] * bound[1]:
         print(f"assembly stalled at {len(assembly)} of "
               f"{bound[0] * bound[1]} cells", file=sys.stderr)
@@ -130,7 +163,7 @@ def cmd_render(args) -> int:
         raise formats.FormatError(
             f"source must start with '{formats.GRID_HEADER}' or "
             f"'{formats.ASSEMBLY_HEADER}'")
-    Path(args.out).write_bytes(formats.render_cells(rows, modulus, spec))
+    _write_files([(args.out, formats.render_cells(rows, modulus, spec))])
     return 0
 
 

@@ -176,12 +176,15 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
     in column 0; (e) each placed tile equals the compiled tile of the
     matrix window at its position.  One walk of the placements' bounding
     box yields each cell's window, compiled once per distinct window.
-    Raises ValueError unless `Assembly.order_is_exact`, and on a box over
-    `MAX_GROWTH_CELLS` cells, which no growth spans, before allocating.
+    Raises ValueError on a box over `MAX_GROWTH_CELLS` cells, which no
+    growth spans, before allocating, and unless the attachment order lists
+    each placed position exactly once: the lengths must agree, and the
+    scan meets no repeated or unplaced position.
     """
-    if not assembly.order_is_exact():
-        raise ValueError("the attachment order must list each placed "
+    inexact = ValueError("the attachment order must list each placed "
                          "position exactly once")
+    if len(assembly.attachment_order) != len(assembly.placements):
+        raise inexact
     violations: dict[str, tuple[int, Position, str] | None] = {
         name: None for name in
         ("downward_closed", "first_quadrant_only",
@@ -206,21 +209,30 @@ def check_induction_clauses(assembly: Assembly, rule: LocalRule) -> InductionRep
         if violations[name] is None:
             violations[name] = (step, pos, detail)
 
-    # Occupancy of the box; a negative position is outside it, and no
-    # check reads one.
+    # Occupancy of the box; a negative position is outside it, no check
+    # reads one, and the few there are kept apart to find a repeat.
     occupied = bytearray(height * width)
+    outside: set[Position] = set()
+    placements = assembly.placements
     for step, pos in enumerate(positions):
+        tile = placements.get(pos)
+        if tile is None:
+            raise inexact
         x, y = pos
         if x < 0 or y < 0:
+            if pos in outside:
+                raise inexact
+            outside.add(pos)
             record("first_quadrant_only", step, pos, "negative coordinate")
             continue
         cell = x * width + y
+        if occupied[cell]:
+            raise inexact
         if step >= assembly.seed_count:
             if x > 0 and not occupied[cell - width]:
                 record("downward_closed", step, pos, "south neighbor missing")
             if y > 0 and not occupied[cell - 1]:
                 record("downward_closed", step, pos, "west neighbor missing")
-        tile = assembly.placements[pos]
         # strengths are stored W, S, E, N
         if tile.strengths[2] == 2 and x != 0:
             record("east_strength2_in_row0", step, pos,

@@ -23,6 +23,8 @@ from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
+    from collections.abc import Iterator, Sequence
+
     import numpy as np
 
 
@@ -164,34 +166,38 @@ class ResidueMatrix:
 _DIAGONAL_BLOCK = 128
 
 
-def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMatrix:
-    """Materialize the corner recursion on a height x width window.
+def _diagonal_blocks(coeffs: Coefficients, height: int, width: int
+                     ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield the anti-diagonals of a height x width window (height <=
+    width) in blocks of at most _DIAGONAL_BLOCK, as (d0, stop, diag).
+
+    Row d - d0 + 2 of `diag` holds diagonal d for d0 <= d < stop, with
+    diag[d - d0 + 2, i + 1] = M[i, d - i]; column 0 and cells past the
+    window are 0.  The first block is diagonal 0, M[0, 0] alone.  `diag`
+    is one buffer, overwritten by the next block.
 
     One anti-diagonal's cells D_d[i] = M[i, d - i] are independent, D_d[i]
     = a*D_{d-1}[i] + c*D_{d-1}[i-1] + b*D_{d-2}[i-1] mod p with 0 outside
     the quadrant: height + width - 1 numpy steps plus height * width cells
     at one reduction each, in the smallest unsigned dtype that holds
     3*(p-1)**2, the largest unreduced a*x + b*y + c*z (uint8 for p <= 7,
-    uint64 only above 37831), written back in blocks as one run per row.
-    A tall window is built as its transpose, so buffers span the shorter
-    side.  Thin windows are slow (1 x 2**20: 16 s, 0.1 s row by row);
-    callers ask for squares.
+    uint64 only above 37831).
     """
     import numpy as np
-    check_cells(height, width, "window")
-    if height > width:
-        return ResidueMatrix(coeffs.p, delannoy_matrix(
-            coeffs.transposed(), width, height).entries.T)
-    m = np.empty((height, width), dtype=_uint_holding(coeffs.p))
     wide = _uint_holding(3 * (coeffs.p - 1) ** 2)
     # As 0-d arrays the weights cost numpy no scalar conversion per step.
     a, b, c, p = (np.array(v, dtype=wide) for v in astuple(coeffs))
     # Row r: diagonal d = d0 - 2 + r, cell i at column i + 1; 0 for i<0, i>d.
     diag = np.zeros((_DIAGONAL_BLOCK + 2, height + 1), dtype=wide)
     acc, term = np.empty((2, height), dtype=wide)
-    diag[1, 1] = m[0, 0] = 1
-    for d0 in range(1, height + width - 1, _DIAGONAL_BLOCK):
-        stop = min(d0 + _DIAGONAL_BLOCK, height + width - 1)
+    diag[2, 1] = 1
+    d0, stop, last = 0, 1, height + width - 1
+    while True:
+        yield d0, stop, diag
+        if stop == last:
+            return
+        diag[:2] = diag[stop - d0:stop - d0 + 2]
+        d0, stop = stop, min(stop + _DIAGONAL_BLOCK, last)
         for r, d in enumerate(range(d0, stop), start=2):
             lo, hi = max(0, d - width + 1), min(d, height - 1) + 1
             s, t = acc[:hi - lo], term[:hi - lo]
@@ -201,6 +207,40 @@ def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMat
             # s % p as s - s // p * p: numpy's % by a scalar is 8-25x slower.
             np.multiply(np.floor_divide(s, p, out=t), p, out=t)
             np.subtract(s, t, out=diag[r, lo + 1:hi + 1])
+
+
+def _mapped(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """A zeroed array on its own anonymous memory map: freeing it unmaps
+    its pages at once, where the allocator would keep a freed window
+    resident under the next one.  Huge pages are asked for, as numpy asks
+    for its own large arrays."""
+    import mmap
+    import numpy as np
+    cells = shape[0] * shape[1]
+    buf = mmap.mmap(-1, cells * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype, cells).reshape(shape)
+
+
+def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMatrix:
+    """Materialize the corner recursion on a height x width window.
+
+    The window is written back from `_diagonal_blocks` block by block, as
+    one run per row, into its own memory map (see `_mapped`).  A tall
+    window is built as its transpose, so buffers span the shorter side,
+    and copied into a map of its own.  Thin windows are slow (1 x 2**20:
+    16 s, 0.1 s row by row); callers ask for squares.
+    """
+    import numpy as np
+    check_cells(height, width, "window")
+    if height > width:
+        inner = delannoy_matrix(coeffs.transposed(), width, height).entries
+        m = _mapped((height, width), inner.dtype)
+        m[...] = inner.T
+        return ResidueMatrix(coeffs.p, m)
+    m = _mapped((height, width), _uint_holding(coeffs.p))
+    for d0, stop, diag in _diagonal_blocks(coeffs, height, width):
         # Rows [full_lo, full_hi) take the whole block; the edges cut the rest.
         runs = stop - d0
         rows_lo, rows_hi = max(0, d0 - width + 1), min(height, stop)
@@ -213,8 +253,33 @@ def delannoy_matrix(coeffs: Coefficients, height: int, width: int) -> ResidueMat
         for i in (*range(rows_lo, full_lo), *range(full_hi, rows_hi)):
             j0, j1 = max(0, d0 - i), min(width, stop - i)
             m[i, j0:j1] = diag[j0 + i - d0 + 2:j1 + i - d0 + 2, i + 1]
-        diag[:2] = diag[runs:runs + 2]
     return ResidueMatrix(coeffs.p, m)
+
+
+def window_lines(coeffs: Coefficients, side: int, indices: Sequence[int]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns `indices` of the side x side window, read off the
+    anti-diagonal blocks as they pass, so the window never exists.
+
+    Returns (rows, columns), each of shape (len(indices), side) in the
+    storage dtype: rows[n] = M[indices[n], :] and columns[n] =
+    M[:, indices[n]].  Besides them it holds one block of diagonals.
+    """
+    import numpy as np
+    check_cells(side, side, "window")
+    if not all(0 <= x < side for x in indices):
+        raise ValueError(f"line indices must lie in [0, {side})")
+    rows = np.empty((len(indices), side), dtype=_uint_holding(coeffs.p))
+    columns = np.empty_like(rows)
+    for d0, stop, diag in _diagonal_blocks(coeffs, side, side):
+        for n, x in enumerate(indices):
+            # Cell k of line x lies on diagonal x + k, at row x + k - d0 + 2.
+            k0, k1 = max(0, d0 - x), min(side, stop - x)
+            if k0 < k1:
+                block = diag[k0 + x - d0 + 2:k1 + x - d0 + 2]
+                rows[n, k0:k1] = block[:, x + 1]
+                columns[n, k0:k1] = block[:, k0 + 1:k1 + 1].diagonal()
+    return rows, columns
 
 
 def lucas_binomial(n: int, k: int, p: int) -> int:

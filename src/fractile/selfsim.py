@@ -6,10 +6,12 @@ A matrix M of residues mod p is numerically p-self-similar when
 
 for all 0 <= s, t < p, all k >= 0, and all i, j < p^k.  The checker below
 verifies the congruence exhaustively over every exponent the window
-supports.  It refuses windows of side below p^2; on any other, one
-perturbed entry inside the largest p-power square is caught unless
-a = b = c = 0.  The lemma suite re-derives the boundary and cancellation
-identities the congruence rests on, by brute force, as falsifiable checks.
+supports, in row bands, so it holds no temporary the size of a block.  It
+refuses windows of side below p^2; on any other, one perturbed entry
+inside the largest p-power square is caught unless a = b = c = 0.  The
+lemma suite re-derives the boundary and cancellation identities the
+congruence rests on, by brute force, as falsifiable checks, on the rows
+and columns they read; it builds no window.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .matrix import (Coefficients, ResidueMatrix, _uint_holding,
-                     delannoy_matrix)
+                     window_lines)
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
     import numpy as np
@@ -61,16 +63,24 @@ def check_side(side: int, p: int) -> None:
                          "the congruence constrains at most M[0, 0]")
 
 
+# Cells of one unit-block band that each level scales and compares at a
+# time; at one byte a cell, the band's temporaries take under 1 MB.
+_BAND_CELLS = 2 ** 18
+
+
 def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
     """Exhaustively verify the scaling congruence on a square window.
 
     The exponent range is derived from the window: every k with
     p^(k+1) <= side is checked, so the report never silently under-checks.
     A window of side below p^2 is refused, since there the congruence
-    constrains at most M[0, 0].  Each level scales its unit block once per
-    residue M[s, t] takes, not once per block, and keeps one scaled block
-    at a time.  The returned witness, if any, is the least in
-    (k, s, t, i, j) order.
+    constrains at most M[0, 0].  Each level is compared in bands of about
+    _BAND_CELLS cells of rows: per band, the unit block's rows are scaled
+    once per residue M[s, t] takes, not once per block, and compared with
+    the same rows of each block, so no temporary spans a whole block.  The
+    returned witness, if any, is the least in (k, s, t, i, j) order: a
+    block's first failing band holds its least (i, j), and later bands
+    skip the blocks at or after the least failing (s, t).
     """
     import numpy as np
     if matrix.height != matrix.width:
@@ -85,28 +95,39 @@ def check_self_similarity(matrix: ResidueMatrix, p: int) -> SelfSimReport:
     max_k = -1
     while p ** (max_k + 2) <= side:
         max_k += 1
-    scales = ent[:p, :p]
+    # Blocks (s, t) by the residue M[s, t] that scales them, in (s, t) order;
+    # not np.unique, whose first call imports numpy.ma (about 20 ms).
+    blocks: dict[int, list[tuple[int, int]]] = {}
+    for s, row in enumerate(ent[:p, :p].tolist()):
+        for t, v in enumerate(row):
+            blocks.setdefault(v, []).append((s, t))
+    residues = sorted(blocks.items())
     for k in range(max_k + 1):
         w = p ** k
-        unit = ent[:w, :w]
-        least = None  # witness in the least failing block so far
-        # not np.unique, whose first call imports numpy.ma (about 20 ms)
-        for v in sorted(set(scales.ravel().tolist())):
-            expected = np.multiply(unit, v, dtype=wide)
-            # expected % p as e - e // p * p, as delannoy_matrix reduces.
-            q = expected // p
-            expected -= np.multiply(q, p, out=q)
-            for s, t in zip(*np.nonzero(scales == v)):
-                if least is not None and (s, t) > (least.s, least.t):
-                    break
-                actual = ent[s * w:(s + 1) * w, t * w:(t + 1) * w]
-                if not np.array_equal(actual, expected):
-                    i, j = np.argwhere(actual != expected)[0]
-                    least = Violation(int(s), int(t), k, int(i), int(j))
-                    break
-            del expected, q  # freed before the next residue's blocks are made
+        rows = max(1, _BAND_CELLS // w)
+        least = None  # (s, t, i, j) in the least failing block so far
+        for r0 in range(0, w, rows):
+            r1 = min(w, r0 + rows)
+            for v, cells in residues:
+                if least is not None and cells[0] >= least[:2]:
+                    continue
+                expected = np.multiply(ent[r0:r1, :w], v, dtype=wide)
+                # expected % p as e - e // p * p, as delannoy_matrix reduces.
+                q = expected // p
+                expected -= np.multiply(q, p, out=q)
+                for s, t in cells:
+                    if least is not None and (s, t) >= least[:2]:
+                        break
+                    actual = ent[s * w + r0:s * w + r1, t * w:(t + 1) * w]
+                    if not np.array_equal(actual, expected):
+                        i, j = np.argwhere(actual != expected)[0]
+                        least = (s, t, r0 + int(i), int(j))
+                        break
+                del expected, q  # freed before the next residue's band
         if least is not None:
-            return SelfSimReport(p, max_k, False, least, side)
+            s, t, i, j = least
+            return SelfSimReport(p, max_k, False, Violation(s, t, k, i, j),
+                                 side)
     return SelfSimReport(p, max_k, True, None, side)
 
 
@@ -149,10 +170,14 @@ def _first_bad(mask: np.ndarray) -> tuple | None:
 
 def check_lemmas(coeffs: Coefficients, k_max: int,
                  side_budget: int = 4096) -> LemmaReport:
-    """Brute-force the boundary and cancellation identities on one window.
+    """Brute-force the boundary and cancellation identities on the lines
+    they read.
 
-    One matrix of side p^(k_max+1) is materialized and all identities are
-    evaluated on it over their full quantifier ranges:
+    On the window of side p^(k_max+1), the identities read row 0, rows
+    p^k - 1 and rows s*p^k - 1 and s*p^k for 1 <= s < p, and the columns
+    of the same indices.  Only those lines are read, off the generator's
+    anti-diagonal blocks by `window_lines`; the window itself is never
+    built.  Every identity is evaluated over its full quantifier range:
 
     * corner entries M[0, p^k - 1] are 1;
     * the first row of each boundary block scales geometrically,
@@ -168,7 +193,7 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     identities are checked as the row identities of the transpose under
     `coeffs.transposed()`.  Witnesses name their side, "row" or "column",
     and give block indices (s, t) in the matrix's own frame.  Only the
-    row slices that enter products are upcast to int64, never the window.
+    row slices that enter products are upcast to int64.
     """
     import numpy as np
     if k_max < 1:
@@ -178,9 +203,14 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     if side > side_budget:
         raise ValueError(
             f"window side {side} exceeds the budget {side_budget}")
-    ent = delannoy_matrix(coeffs, side, side).entries
-    rows = ("row", ent, coeffs)
-    columns = ("column", ent.T, coeffs.transposed())
+    indices = sorted({0, *(p ** k - 1 for k in range(1, k_max + 2)),
+                      *(s * p ** k + d for k in range(1, k_max + 1)
+                        for s in range(1, p) for d in (-1, 0))})
+    row_lines, column_lines = window_lines(coeffs, side, indices)
+    # Side name, line index -> line, and the weights its identities use.
+    rows = ("row", dict(zip(indices, row_lines)), coeffs)
+    columns = ("column", dict(zip(indices, column_lines)),
+               coeffs.transposed())
     results: list[LemmaResult] = []
 
     cases, bad = 0, None
@@ -188,18 +218,18 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
         w = p ** k
         for name, m, _ in (rows, columns):
             cases += 1
-            if bad is None and int(m[0, w - 1]) != 1:
-                bad = (name, k, int(m[0, w - 1]))
+            if bad is None and int(m[0][w - 1]) != 1:
+                bad = (name, k, int(m[0][w - 1]))
     results.append(LemmaResult("corner_entries_are_one", bad is None, bad, cases))
 
     cases, bad = 0, None
     for k in range(1, k_max + 1):
         w = p ** k
         for name, m, co in (rows, columns):
-            first = m[0, :w].astype(np.int64)
+            first = m[0][:w].astype(np.int64)
             for t in range(p):
                 expected = (pow(co.a, t, p) * first) % p
-                mask = m[0, t * w:(t + 1) * w] == expected
+                mask = m[0][t * w:(t + 1) * w] == expected
                 cases += w
                 if bad is None and not mask.all():
                     bad = (name, k, t, _first_bad(mask))
@@ -210,7 +240,7 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     for k in range(1, k_max + 2):
         w = p ** k
         for name, m, co in (columns, rows):
-            row = m[w - 1, :w].astype(np.int64)
+            row = m[w - 1][:w].astype(np.int64)
             mask = (co.b * row[:-1] + co.c * row[1:]) % p == 0
             cases += w - 1
             if bad is None and not mask.all():
@@ -225,9 +255,9 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
     for k in range(1, k_max + 1):
         w = p ** k
         for name, m, co in (rows, columns):
-            first = m[0, :w].astype(np.int64)
+            first = m[0][:w].astype(np.int64)
             for s in range(1, p):
-                below = m[s * w - 1, :].astype(np.int64)
+                below = m[s * w - 1].astype(np.int64)
                 for t in range(p):
                     # A column witness gives (s, t) in M's frame.
                     where = (name, k, s, t) if name == "row" else (name, k, t, s)
@@ -236,7 +266,7 @@ def check_lemmas(coeffs: Coefficients, k_max: int,
                     hyp_cases += w - 1
                     if hyp_bad is None and not mask.all():
                         hyp_bad = (*where, _first_bad(mask))
-                    run = m[s * w, t * w:(t + 1) * w]
+                    run = m[s * w][t * w:(t + 1) * w]
                     mask = run == (int(run[0]) * first) % p
                     conc_cases += w
                     if conc_bad is None and not mask.all():

@@ -105,13 +105,6 @@ class Assembly:
     def id_map(self) -> dict[Position, int]:
         return {pos: tile.id for pos, tile in self.placements.items()}
 
-    def order_is_exact(self) -> bool:
-        """True when `attachment_order` lists each placed position exactly
-        once, the premise of every replay."""
-        order = self.attachment_order
-        return (len(order) == len(self.placements)
-                and set(order) == self.placements.keys())
-
 
 def _intern(tiles: Iterable[TileType]
             ) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -366,10 +359,15 @@ def is_directed_empirically(system: TileSystem, bound: tuple[int, int],
 
 def replay_is_valid(assembly: Assembly, temperature: int,
                     lax: bool = False) -> bool:
-    """Re-validate an assembly against its own attachment order."""
-    if not assembly.order_is_exact():
-        return False
+    """Re-validate an assembly against its own attachment order.
+
+    False also when the order does not list each placed position exactly
+    once: the lengths must agree, and the scan meets no repeated or
+    unplaced position.
+    """
     order, placements = assembly.attachment_order, assembly.placements
+    if len(order) != len(placements):
+        return False
     if not order:
         return True
     distinct = {id(t): t for t in placements.values()}
@@ -384,7 +382,10 @@ def replay_is_valid(assembly: Assembly, temperature: int,
     empty = (0, 0, 0, 0)
     accepted: dict[tuple, bool] = {}
     for step, pos in enumerate(order):
-        f = faces_of[id(placements[pos])]
+        tile = placements.get(pos)
+        if tile is None:
+            return False
+        f = faces_of[id(tile)]
         x, y = pos
         cell = x * side + y
         if step >= assembly.seed_count:
@@ -398,4 +399,4 @@ def replay_is_valid(assembly: Assembly, temperature: int,
             if not ok:
                 return False
         cells[cell] = f
-    return True
+    return len(cells) == len(order)  # fewer when a position repeats

@@ -106,7 +106,13 @@ def test_selfsim_corrupt_outside_window_exits_2(capsys, cell):
     pytest.param("5", "24", ("--corrupt", "1", "1"), id="24"),
     pytest.param("127", "8000", (), id="p127-8000"),
 ])
-def test_selfsim_below_p_squared_exits_2(capsys, p, size, extra):
+def test_selfsim_below_p_squared_exits_2(capsys, monkeypatch, p, size,
+                                        extra):
+    # a window is mapped, out of tracemalloc's sight, so generating one is
+    # caught by its call
+    built = []
+    monkeypatch.setattr(fractile.matrix, "delannoy_matrix",
+                        lambda *args: built.append(args))
     tracemalloc.start()
     try:
         code = run("selfsim", "--a", "1", "--b", "1", "--c", "1", "--p", p,
@@ -114,7 +120,7 @@ def test_selfsim_below_p_squared_exits_2(capsys, p, size, extra):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2
+    assert code == 2 and built == []
     # refused before generating: an 8000^2 window holds 64 MB
     assert peak < 2 ** 20
     captured = capsys.readouterr()
@@ -123,10 +129,15 @@ def test_selfsim_below_p_squared_exits_2(capsys, p, size, extra):
     assert len(err) == 1 and f"below p^2 = {int(p) ** 2}" in err[0]
 
 
-def test_selfsim_corrupt_does_not_copy_the_window(capsys):
+def test_selfsim_corrupt_does_not_copy_the_window(capsys, monkeypatch):
     argv = ["selfsim", *CARPET_FLAGS, "--size", "2187"]
     window_bytes = delannoy_matrix(Coefficients(1, 1, 1, 3),
                                    2187, 2187).entries.nbytes
+    # tracemalloc sees a copy made by numpy; a mapped copy is counted here
+    mapped, map_window = [], fractile.matrix._mapped
+    monkeypatch.setattr(fractile.matrix, "_mapped", lambda shape, dtype: (
+        mapped.append(shape[0] * shape[1] * dtype.itemsize)
+        or map_window(shape, dtype)))
     peaks = []
     for extra in ([], ["--corrupt", "100", "200"]):
         tracemalloc.start()
@@ -136,6 +147,7 @@ def test_selfsim_corrupt_does_not_copy_the_window(capsys):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < window_bytes / 4
+    assert mapped == [window_bytes, window_bytes]
     out = capsys.readouterr().out
     assert "VIOLATED" in out and "witness" in out
 
@@ -328,6 +340,27 @@ def test_simulate_image_refused_after_growth_writes_nothing(
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
     assert not dump.exists() and not image.exists()
+
+
+# The dump is written first, to a temporary name; neither failure leaves it
+# or its temporary behind.
+@pytest.mark.parametrize("image,message", [
+    ("d.ppm", "[Errno 21] Is a directory"),
+    ("missing/a.ppm", "[Errno 2] No such file or directory")],
+    ids=["image-is-a-directory", "image-directory-missing"])
+def test_simulate_unwritable_image_writes_nothing(tmp_path, capsys, image,
+                                                  message):
+    tiles, dump = tmp_path / "t.tiles", tmp_path / "a.asm"
+    tiles.write_text(formats.write_tileset(carpet_system()))
+    (tmp_path / "d.ppm").mkdir()
+    image = tmp_path / image
+    assert run("simulate", "--tileset", str(tiles), "--bound", "9",
+               "--out", str(dump), "--image", str(image)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}: '{image}'"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.ppm", "t.tiles"]
+    assert list((tmp_path / "d.ppm").iterdir()) == []
 
 
 def test_simulate_rejects_malformed_tileset(tmp_path):

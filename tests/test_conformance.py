@@ -189,6 +189,48 @@ def test_induction_refuses_a_repeated_position(carpet):
         check_induction_clauses(asm, delannoy_rule(CARPET))
 
 
+def _order_repeats(asm):
+    asm.attachment_order[-1] = asm.attachment_order[-2]
+
+
+def _order_misses(asm):
+    asm.attachment_order.pop()
+
+
+def _order_names_unplaced(asm):
+    asm.attachment_order[-1] = (5, 0)
+
+
+def _order_repeats_negative(asm):
+    asm.placements[(-1, 2)] = asm.placements[(0, 0)]
+    asm.attachment_order[-1] = (-1, 2)
+    asm.attachment_order.append((-1, 2))
+
+
+def _order_misses_negative(asm):
+    asm.placements[(-1, 2)] = asm.placements[(0, 0)]
+
+
+def _order_names_unplaced_negative(asm):
+    asm.attachment_order[-1] = (-1, 2)
+
+
+# Each order lists as many positions as are placed, but for the two that
+# miss one; the scan, not a count, tells the others apart.
+@pytest.mark.parametrize("spoil", [
+    _order_repeats, _order_misses, _order_names_unplaced,
+    _order_repeats_negative, _order_misses_negative,
+    _order_names_unplaced_negative],
+    ids=["repeated", "missing", "unplaced", "repeated-negative",
+         "missing-negative", "unplaced-negative"])
+def test_replay_and_induction_refuse_an_inexact_order(carpet, spoil):
+    asm = assemble_bounded(carpet, (5, 5), 1)
+    spoil(asm)
+    assert not replay_is_valid(asm, 2)
+    with pytest.raises(ValueError, match="exactly once"):
+        check_induction_clauses(asm, delannoy_rule(CARPET))
+
+
 def test_induction_refuses_a_placement_missing_from_the_order(carpet):
     # a wrong tile outside the order once went unchecked: every clause held
     asm = assemble_bounded(carpet, (5, 5), 1)

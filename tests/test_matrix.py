@@ -1,4 +1,7 @@
+import gc
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,7 @@ from fractile import (Coefficients, ResidueMatrix, closed_form,
                       delannoy_matrix, is_prime, path_cost_oracle)
 import fractile.matrix
 from fractile.matrix import (MAX_CELLS, MAX_MODULUS, PATH_ORACLE_LIMIT,
-                             lucas_binomial)
+                             lucas_binomial, window_lines)
 
 from conftest import SMALL_PRIMES, reference_corner_matrix
 
@@ -66,6 +69,48 @@ def test_generator_matches_definitional_loop(coeffs, height, width):
     m = delannoy_matrix(Coefficients(a, b, c, p), height, width)
     assert m.entries.tolist() == reference_corner_matrix(a, b, c, p,
                                                          height, width)
+
+
+# Sides that are not multiples of the generator's 128-diagonal block, so
+# lines start and end inside blocks; the examples read every line.
+@given(coeffs_over((2, 3, 5, 7)), st.integers(1, 300).filter(
+    lambda side: side % 128), st.lists(st.integers(0, 299), max_size=8))
+@example((6, 5, 4, 7), 300, list(range(300)))
+@example((1, 1, 1, 2), 129, list(range(129)))
+@settings(max_examples=40)
+def test_window_lines_match_the_definitional_loop(coeffs, side, draws):
+    indices = [x % side for x in draws]
+    ref = reference_corner_matrix(*coeffs, side, side)
+    rows, columns = window_lines(Coefficients(*coeffs), side, indices)
+    assert rows.dtype == columns.dtype == np.uint8
+    assert rows.tolist() == [ref[x] for x in indices]
+    assert columns.tolist() == [[row[y] for row in ref] for y in indices]
+
+
+@pytest.mark.parametrize("indices", [[-1], [5], [0, 5]])
+def test_window_lines_refuse_lines_outside_the_window(indices):
+    with pytest.raises(ValueError, match=r"\[0, 5\)"):
+        window_lines(Coefficients(1, 1, 1, 3), 5, indices)
+
+
+def resident_bytes():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/statm")
+@pytest.mark.parametrize("side", [8192, 4096], ids=["64MB", "16MB"])
+def test_deleting_a_window_lowers_resident_memory(side):
+    # Once a 20 MB block is freed, glibc's malloc serves blocks up to that
+    # size from its heap and keeps them resident after they are freed; a
+    # mapped window returns its pages at once all the same.
+    np.ones(20 * 2 ** 20, dtype=np.uint8)
+    m = delannoy_matrix(Coefficients(1, 1, 1, 2), side, side)
+    held = resident_bytes()
+    del m
+    gc.collect()
+    assert held - resident_bytes() > side * side * 3 // 4
 
 
 def test_tall_window_buffers_span_the_short_side():

@@ -114,9 +114,9 @@ def least_violation(ent, p):
     return None
 
 
-@given(st.sampled_from([2, 3, 5]), st.data())
-@settings(max_examples=60)
-def test_witness_is_the_brute_force_least_violation(p, data):
+def assert_least_witness(p, data):
+    """One to three corruptions of a window of side p^2 to p^3: the report
+    names the brute-force least violation."""
     a, b, c = (data.draw(st.integers(0, p - 1)) for _ in range(3))
     side = data.draw(st.integers(p ** 2, p ** 3))
     ent = np.array(delannoy_matrix(Coefficients(a, b, c, p), side, side).entries)
@@ -130,6 +130,22 @@ def test_witness_is_the_brute_force_least_violation(p, data):
     got = None if v is None else (v.k, v.s, v.t, v.i, v.j)
     assert got == want
     assert report.holds == (want is None)
+
+
+@given(st.sampled_from([2, 3, 5]), st.data())
+@settings(max_examples=60)
+def test_witness_is_the_brute_force_least_violation(p, data):
+    assert_least_witness(p, data)
+
+
+# Windows of side up to p^3 fit in one band; bands of 7 cells split every
+# block wider than 2, some with a shorter last band.
+@given(st.sampled_from([2, 3, 5]), st.data())
+@settings(max_examples=60)
+def test_multi_band_witness_is_the_brute_force_least_violation(p, data):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fractile.selfsim, "_BAND_CELLS", 7)
+        assert_least_witness(p, data)
 
 
 # Products of residues fill uint8 at p = 13 and need uint16 at p = 17.
@@ -156,6 +172,40 @@ def test_certifying_keeps_few_blocks_alive():
     # cell; a wider temporary, or the blocks of every residue kept alive,
     # takes five or more.
     assert peak < 4 * (3 ** 6) ** 2
+
+
+def test_a_block_failing_in_two_bands_names_its_first(monkeypatch):
+    # At k = 3 both cells lie in block (2, 2), rows 3 and 13 of it, which
+    # M[2, 2] = 1 scales as it does (0, 0); bands of 7 cells are one row of
+    # 27, so the block fails in two bands.
+    monkeypatch.setattr(fractile.selfsim, "_BAND_CELLS", 7)
+    m = _corrupt(_corrupt(carpet(81), 67, 68), 57, 58)
+    v = check_self_similarity(m, 3).first_violation
+    assert (v.k, v.s, v.t, v.i, v.j) == (3, 2, 2, 3, 4)
+
+
+def traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certifying_holds_one_band_at_a_time():
+    m = carpet(3 ** 7)
+    check_self_similarity(carpet(9), 3)  # first-call imports stay untraced
+    # three band temporaries of 2^18 one-byte cells; a block of k = 6 alone
+    # takes 531,441
+    assert traced_peak(check_self_similarity, m, 3) < 2 ** 20
+
+
+def test_lemmas_build_no_window():
+    check_lemmas(Coefficients(1, 1, 1, 2), 1)  # first-call imports untraced
+    # the window of side 2^12 takes 16 MB; its lines and one block of
+    # diagonals, under 1 MB
+    assert traced_peak(check_lemmas, Coefficients(1, 1, 1, 2), 11) < 2 ** 20
 
 
 @pytest.mark.parametrize("p, side", [(5, 3), (5, 24), (3, 8), (2, 3)])
@@ -274,8 +324,9 @@ def test_lemma_reports_under_single_cell_corruption_are_pinned(monkeypatch):
             for y in range(side):
                 ent = clean.copy()
                 ent[x, y] = (ent[x, y] + 1) % p
-                monkeypatch.setattr(fractile.selfsim, "delannoy_matrix",
-                                    lambda *_, e=ent: ResidueMatrix(p, e))
+                monkeypatch.setattr(fractile.selfsim, "window_lines",
+                                    lambda _c, _s, idx, e=ent: (e[idx],
+                                                                e[:, idx].T))
                 report = check_lemmas(coeffs, k)
                 digest.update((f"{a} {b} {c} {p} {k} {x} {y}\n"
                                + "\n".join(report.to_lines())
