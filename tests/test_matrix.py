@@ -64,6 +64,14 @@ sides = st.one_of(st.just(1), st.integers(1, 300))
 @example((65536, 65535, 3, 65537), 67, 300)
 @example((MAX_MODULUS - 2, MAX_MODULUS - 3, MAX_MODULUS - 5, MAX_MODULUS),
          300, 65)
+# Exact block multiples and one block or less, where a block's band masks
+# cut it on both edges (100 x 100).
+@example((1, 1, 1, 3), 128, 128)
+@example((250, 249, 247, 251), 256, 256)
+@example((37846, 37845, 37844, 37847), 257, 257)
+@example((2, 1, 2, 3), 127, 129)
+@example((3, 250, 5, 251), 129, 127)
+@example((37846, 2, 3, 37847), 100, 100)
 def test_generator_matches_definitional_loop(coeffs, height, width):
     a, b, c, p = coeffs
     m = delannoy_matrix(Coefficients(a, b, c, p), height, width)
@@ -122,6 +130,18 @@ def test_tall_window_buffers_span_the_short_side():
         tracemalloc.stop()
     assert m.entries.tolist() == reference_corner_matrix(1, 1, 1, 3, 4096, 2)
     assert peak < 200_000  # 130 diagonals of 4097 uint8 cells take 533 KB
+
+
+def test_cut_rows_are_written_through_band_masks():
+    tracemalloc.start()
+    try:
+        delannoy_matrix(Coefficients(1, 2, 1, 3), 2187, 2187)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One block of 130 x 2188 uint8 cells takes 284,440 B; masks built from
+    # int64 index arrays would add 128 x 128 x 8 B = 131 KB per array.
+    assert peak < 320_000
 
 
 # Lucas' theorem makes M over p^n the n-th Kronecker power of its p x p
@@ -331,6 +351,10 @@ def test_residue_matrix_validates_range():
         ResidueMatrix(3, np.array([[0, 3]], dtype=np.uint8))
     with pytest.raises(ValueError):
         ResidueMatrix(3, np.array([[0, 258]]))  # 2 after a uint8 cast
+    with pytest.raises(ValueError):
+        ResidueMatrix(257, np.array([[0, 257]], dtype=np.uint16))
+    with pytest.raises(ValueError):
+        ResidueMatrix(3, np.array([[0, -1]], dtype=np.int8))
 
 
 def test_window_dimensions_must_be_positive():
